@@ -41,7 +41,6 @@ from .protocol import (
     encode,
     parity_accept_set,
     prepare_ghz,
-    prepare_ghz_n,
     run_rounds,
     run_session,
     security_check_round,
@@ -59,4 +58,5 @@ from .qstate import (
     fidelity,
     global_phase_equal,
     measure,
+    outcome_distribution,
 )

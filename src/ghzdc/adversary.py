@@ -17,29 +17,30 @@ reveals about the legitimate decode key.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from typing import Callable
 
 import numpy as np
 
 from .cavity import CANONICAL_PULSE, PulseParams
 from .protocol import (
+    CHECK_BASES,
     PAIRS,
     SIGNS,
     DecodeKey,
     EncodingOp,
     Role,
-    _combo_outcome_probs,
+    _honest_post_state,
     bob_interaction,
     decode,
-    encode_on,
     measure_decode,
     parity_accept_set,
     prepare_ghz,
+    random_check_round,
     round_rng,
-    security_check_round,
 )
 from .qstate import (
     COMPUTATIONAL,
@@ -47,22 +48,10 @@ from .qstate import (
     Y_BASIS,
     QuantumState,
     apply_two_qubit,
+    basis_amplitudes,
     collapse,
     measure,
-)
-
-MODEL_KINDS = frozenset(
-    {
-        "honest",
-        "bob_alone_guess",
-        "charlie_alone_guess",
-        "charlie_lies",
-        "bob_lies",
-        "charlie_flips",
-        "bob_flips",
-        "intercept_resend",
-        "ancilla_attack",
-    }
+    outcome_distribution,
 )
 
 INTERCEPT_BASES = {"computational": COMPUTATIONAL, "x": PLUS_MINUS, "y": Y_BASIS}
@@ -70,7 +59,7 @@ INTERCEPT_BASES = {"computational": COMPUTATIONAL, "x": PLUS_MINUS, "y": Y_BASIS
 
 @dataclass(frozen=True)
 class AdversaryModel:
-    """Tagged strategy description; use the classmethod constructors."""
+    """Tagged strategy description; ``kind`` names an entry of ``STRATEGIES``."""
 
     kind: str
     target_qubit: int | None = None
@@ -78,7 +67,7 @@ class AdversaryModel:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in STRATEGIES:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         if self.kind == "intercept_resend":
             if self.target_qubit not in (2, 3):
@@ -138,16 +127,12 @@ def decode_distribution(
     op: EncodingOp, pulse: PulseParams = CANONICAL_PULSE
 ) -> dict[DecodeKey, Fraction]:
     """Exact joint outcome distribution of one message round, by enumeration."""
-    state = bob_interaction(encode_on(prepare_ghz(), op), pulse)
-    tensor = state.amplitudes.reshape(2, 2, 2)
-    plus_minus = PLUS_MINUS.matrix().conj()
-    rotated = np.tensordot(plus_minus, tensor, axes=([1], [2]))  # sign axis first
-    dist: dict[DecodeKey, Fraction] = {}
-    for b1, b2 in product((0, 1), repeat=2):
-        for s, sign in enumerate(SIGNS):
-            p = float(np.abs(rotated[s, b1, b2]) ** 2)
-            dist[DecodeKey("eg"[b1] + "eg"[b2], sign)] = _snap(p)
-    return dist
+    state = _honest_post_state(2, op, pulse, 2)
+    probs = outcome_distribution(state, (COMPUTATIONAL, COMPUTATIONAL, PLUS_MINUS))
+    return {
+        DecodeKey("eg"[b1] + "eg"[b2], SIGNS[s]): _snap(float(p))
+        for (b1, b2, s), p in np.ndenumerate(probs)
+    }
 
 
 def _joint_message_key() -> dict[tuple[EncodingOp, DecodeKey], Fraction]:
@@ -168,20 +153,9 @@ def solo_guess_probability(party: Role) -> Fraction:
     """
     if party == Role.ALICE:
         return Fraction(1)
-    if party not in (Role.BOB, Role.CHARLIE):
+    if party not in SOLO_GUESSES:
         raise ValueError(f"party must be a Role, got {party!r}")
-    joint = _joint_message_key()
-    success = Fraction(0)
-    views = PAIRS if party == Role.BOB else SIGNS
-    for view in views:
-        by_op = {}
-        for (op, key), p in joint.items():
-            observed = key.pair if party == Role.BOB else key.sign
-            if observed == view:
-                by_op[op] = by_op.get(op, Fraction(0)) + p
-        if by_op:
-            success += max(by_op.values())
-    return success
+    return SOLO_GUESSES[party].exact()
 
 
 def cheat_success(model: AdversaryModel) -> Fraction:
@@ -190,28 +164,9 @@ def cheat_success(model: AdversaryModel) -> Fraction:
     Liars submit a uniformly random report; flippers submit a uniformly
     random *false* report.  The honest model deceives no one.
     """
-    if model.kind == "honest":
-        return Fraction(0)
-    if model.kind not in ("charlie_lies", "bob_lies", "charlie_flips", "bob_flips"):
+    if model.kind not in CHEATS:
         raise ValueError(f"cheat_success does not apply to {model.kind!r}")
-    charlie_cheats = model.kind.startswith("charlie")
-    exclude_truth = model.kind.endswith("flips")
-    joint = _joint_message_key()
-    wrong = Fraction(0)
-    for (op, key), p in joint.items():
-        alphabet = SIGNS if charlie_cheats else PAIRS
-        truth = key.sign if charlie_cheats else key.pair
-        reports = [r for r in alphabet if r != truth] if exclude_truth else list(alphabet)
-        weight = Fraction(1, len(reports))
-        for report in reports:
-            decoded = (
-                decode(DecodeKey(key.pair, report))
-                if charlie_cheats
-                else decode(DecodeKey(report, key.sign))
-            )
-            if decoded != op:
-                wrong += p * weight
-    return wrong
+    return CHEATS[model.kind].exact()
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +184,12 @@ def check_violation_rate(state: QuantumState, n_parties: int = 3) -> float:
     combo_weight = 1.0 / 2**n_parties
     total = 0.0
     for combo, expected in accept.items():
-        probs = _combo_outcome_probs(state, tuple(combo))
+        probs = outcome_distribution(state, [CHECK_BASES[label] for label in combo])
         # Same support threshold as the accept-set derivation, so states that
-        # pass every check exactly report a rate of exactly zero.
+        # pass every check exactly report a rate of exactly zero.  The sum runs
+        # in index order, which fixes its float rounding.
         total += combo_weight * sum(
-            p for bits, p in probs.items() if p > 1e-12 and sum(bits) % 2 != expected
+            float(p) for bits, p in np.ndenumerate(probs) if p > 1e-12 and sum(bits) % 2 != expected
         )
     return total
 
@@ -336,18 +292,114 @@ def ancilla_attack_tradeoff(theta: float, grid: tuple[int, int] = (31, 61)) -> A
     error = check_violation_rate(attacked, n_parties=3)
 
     evolved = bob_interaction(attacked, CANONICAL_PULSE)
-    tensor = evolved.amplitudes.reshape(2, 2, 2, 2)  # (q1, q2, q3, ancilla)
-    sign_rot = PLUS_MINUS.matrix().conj()
-    rotated = np.tensordot(sign_rot, tensor, axes=([1], [2]))  # (sign, q1, q2, anc)
-    # Sub-normalized ancilla density matrix per decode key.
-    rhos = np.array(
-        [
-            np.outer(rotated[s, b1, b2], rotated[s, b1, b2].conj())
-            for b1, b2, s in product((0, 1), (0, 1), (0, 1))
-        ]
-    )
+    rotated = basis_amplitudes(evolved, (None, None, PLUS_MINUS))  # (q1, q2, sign, anc)
+    # Sub-normalized ancilla density matrix per decode key, keys in (q1, q2, sign) order.
+    rhos = (rotated[..., :, None] * rotated[..., None, :].conj()).reshape(8, 2, 2)
     best = _best_grid_information(rhos, _grid_normals(*grid))
     return AncillaTradeoff(theta=theta, error_rate=error, information_bits=best)
+
+
+# ---------------------------------------------------------------------------
+# Strategy table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MessageStrategy:
+    """An adversary acting on message rounds.
+
+    ``outcomes(op, key)`` lists the equally likely results (True for a hit)
+    of the adversary's own randomness, given Alice's operation and the true
+    decode key.  ``exact`` averages this function over the Born-rule
+    distribution and ``sample`` draws from it, so the two cannot disagree.
+    Message strategies take no model parameters.
+    """
+
+    outcomes: Callable[[EncodingOp, DecodeKey], tuple[bool, ...]]
+
+    def exact(self, model: AdversaryModel | None = None) -> Fraction:
+        total = Fraction(0)
+        for (op, key), p in _joint_message_key().items():
+            results = self.outcomes(op, key)
+            total += p * Fraction(sum(results), len(results))
+        return total
+
+    def sample(self, model: AdversaryModel, rng: np.random.Generator) -> bool:
+        """One message round with a uniformly random message; True on a hit."""
+        op = EncodingOp(int(rng.integers(4)))
+        pair, signs = measure_decode(_honest_post_state(2, op, CANONICAL_PULSE, 2), rng)
+        results = self.outcomes(op, DecodeKey(pair, signs[0]))
+        return results[int(rng.integers(len(results)))]
+
+
+@dataclass(frozen=True)
+class CheckAttack:
+    """An eavesdropper acting on check rounds: sampled attacked state and exact detection rate."""
+
+    attacked_state: Callable[[AdversaryModel, np.random.Generator], QuantumState]
+    exact: Callable[[AdversaryModel], Fraction | float]
+
+    def sample(self, model: AdversaryModel, rng: np.random.Generator) -> bool:
+        """One check round on the attacked state; True when it flags a violation."""
+        return random_check_round(self.attacked_state(model, rng), rng).violation
+
+
+def _report_cheat(field: str, exclude_truth: bool) -> MessageStrategy:
+    """A party replaces its ``field`` of the decode key by a uniformly random
+    report (lies) or a uniformly random false one (flips); a hit is a wrong decode."""
+    alphabet = PAIRS if field == "pair" else SIGNS
+
+    def outcomes(op: EncodingOp, key: DecodeKey) -> tuple[bool, ...]:
+        truth = getattr(key, field)
+        return tuple(
+            decode(replace(key, **{field: report})) != op
+            for report in alphabet
+            if not (exclude_truth and report == truth)
+        )
+
+    return MessageStrategy(outcomes)
+
+
+def _solo_guess(field: str) -> MessageStrategy:
+    """Guess the message from ``field`` of the decode key alone: the
+    maximum-a-posteriori operation, ties going to the lowest bits."""
+
+    @functools.cache
+    def guess(view: str) -> EncodingOp:
+        weights = {op: Fraction(0) for op in EncodingOp}  # bits order: max keeps the first
+        for (op, key), p in _joint_message_key().items():
+            if getattr(key, field) == view:
+                weights[op] += p
+        return max(weights, key=weights.__getitem__)
+
+    return MessageStrategy(lambda op, key: (guess(getattr(key, field)) == op,))
+
+
+CHEATS = {
+    "honest": MessageStrategy(lambda op, key: (decode(key) != op,)),
+    "charlie_lies": _report_cheat("sign", exclude_truth=False),
+    "bob_lies": _report_cheat("pair", exclude_truth=False),
+    "charlie_flips": _report_cheat("sign", exclude_truth=True),
+    "bob_flips": _report_cheat("pair", exclude_truth=True),
+}
+
+SOLO_GUESSES = {Role.BOB: _solo_guess("pair"), Role.CHARLIE: _solo_guess("sign")}
+
+STRATEGIES: dict[str, MessageStrategy | CheckAttack] = {
+    **CHEATS,
+    "bob_alone_guess": SOLO_GUESSES[Role.BOB],
+    "charlie_alone_guess": SOLO_GUESSES[Role.CHARLIE],
+    "intercept_resend": CheckAttack(
+        attacked_state=lambda model, rng: measure(
+            prepare_ghz(), model.target_qubit, INTERCEPT_BASES[model.basis], rng.random()
+        )[1],
+        exact=lambda model: intercept_resend_detection(model.target_qubit, model.basis),
+    ),
+    "ancilla_attack": CheckAttack(
+        attacked_state=lambda model, rng: attach_ancilla(prepare_ghz(), model.theta),
+        exact=lambda model: ancilla_attack_tradeoff(model.theta).error_rate,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -378,78 +430,9 @@ class CheatReport:
         }
 
 
-def _map_guess_tables() -> tuple[dict[str, EncodingOp], dict[str, EncodingOp]]:
-    joint = _joint_message_key()
-    bob_guess, charlie_guess = {}, {}
-    for view_set, table, attr in ((PAIRS, bob_guess, "pair"), (SIGNS, charlie_guess, "sign")):
-        for view in view_set:
-            by_op = {}
-            for (op, key), p in joint.items():
-                if getattr(key, attr) == view:
-                    by_op[op] = by_op.get(op, Fraction(0)) + p
-            table[view] = max(sorted(by_op, key=lambda o: o.bits), key=lambda o: by_op[o])
-    return bob_guess, charlie_guess
-
-
-def _simulate_success(model: AdversaryModel, rounds: int, seed: int) -> float:
-    bob_guess, charlie_guess = (
-        _map_guess_tables() if model.kind.endswith("alone_guess") else (None, None)
-    )
-    hits = 0
-    for idx in range(rounds):
-        rng = round_rng(seed, idx)
-        if model.kind in ("intercept_resend", "ancilla_attack"):
-            # Attacked check round.
-            if model.kind == "intercept_resend":
-                _, state = measure(
-                    prepare_ghz(), model.target_qubit, INTERCEPT_BASES[model.basis], rng.random()
-                )
-            else:
-                state = attach_ancilla(prepare_ghz(), model.theta)
-            bases = ["XY"[rng.integers(2)] for _ in range(3)]
-            rands = [rng.random() for _ in range(3)]
-            record = security_check_round(state, bases, rands)
-            hits += record.violation
-            continue
-        # Message round with a uniformly random message.
-        op = EncodingOp(int(rng.integers(4)))
-        state = bob_interaction(encode_on(prepare_ghz(), op), CANONICAL_PULSE)
-        pair, signs = measure_decode(state, rng)
-        sign = signs[0]
-        if model.kind == "honest":
-            hits += decode(DecodeKey(pair, sign)) != op  # deception count: stays 0
-        elif model.kind == "bob_alone_guess":
-            hits += bob_guess[pair] == op
-        elif model.kind == "charlie_alone_guess":
-            hits += charlie_guess[sign] == op
-        elif model.kind in ("charlie_lies", "charlie_flips"):
-            options = [s for s in SIGNS if s != sign] if model.kind.endswith("flips") else list(SIGNS)
-            report = options[int(rng.integers(len(options)))]
-            hits += decode(DecodeKey(pair, report)) != op
-        elif model.kind in ("bob_lies", "bob_flips"):
-            options = [p for p in PAIRS if p != pair] if model.kind.endswith("flips") else list(PAIRS)
-            report = options[int(rng.integers(len(options)))]
-            hits += decode(DecodeKey(report, sign)) != op
-        else:
-            raise ValueError(f"unsupported model {model.kind!r}")
-    return hits / rounds
-
-
 def analytic_success(model: AdversaryModel) -> float:
     """Reference value matching what the Monte Carlo run estimates."""
-    if model.kind == "honest":
-        return 0.0
-    if model.kind == "bob_alone_guess":
-        return float(solo_guess_probability(Role.BOB))
-    if model.kind == "charlie_alone_guess":
-        return float(solo_guess_probability(Role.CHARLIE))
-    if model.kind in ("charlie_lies", "bob_lies", "charlie_flips", "bob_flips"):
-        return float(cheat_success(model))
-    if model.kind == "intercept_resend":
-        return float(intercept_resend_detection(model.target_qubit, model.basis))
-    if model.kind == "ancilla_attack":
-        return ancilla_attack_tradeoff(model.theta).error_rate
-    raise ValueError(f"unsupported model {model.kind!r}")
+    return float(STRATEGIES[model.kind].exact(model))
 
 
 def monte_carlo_confirm(model: AdversaryModel, rounds: int, seed: int) -> CheatReport:
@@ -457,7 +440,9 @@ def monte_carlo_confirm(model: AdversaryModel, rounds: int, seed: int) -> CheatR
     if rounds < 100:
         raise ValueError("rounds must be >= 100 for a meaningful estimate")
     analytic = analytic_success(model)
-    empirical = _simulate_success(model, rounds, seed)
+    strategy = STRATEGIES[model.kind]
+    hits = sum(strategy.sample(model, round_rng(seed, idx)) for idx in range(rounds))
+    empirical = hits / rounds
     std_error = math.sqrt(analytic * (1.0 - analytic) / rounds)
     return CheatReport(
         model=model,

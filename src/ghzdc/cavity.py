@@ -84,10 +84,6 @@ class CavityParams:
         """Effective atom-atom coupling rate g^2 / (2 delta)."""
         return self.g * self.g / (2.0 * self.delta)
 
-    @property
-    def is_drive_resonant(self) -> bool:
-        return self.omega_drive == self.omega0
-
     def regime_ok(self, drive_factor: float = 10.0, detuning_factor: float = 10.0) -> bool:
         """Whether the strong-driving and dispersive conditions both hold."""
         return (

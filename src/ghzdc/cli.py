@@ -134,7 +134,24 @@ DEFAULTS = {
 }
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
+def _file_value(key: str, raw, action: argparse.Action):
+    """Parse a config-file value as its flag parses the same command-line text.
+
+    Text flags take a JSON string; the others a JSON number, or a list for list flags.
+    """
+    if isinstance(raw, str) != (action.type is None):
+        raise ValueError(f"config key {key!r}: {raw!r} has the wrong JSON type")
+    text = ",".join(map(str, raw)) if isinstance(raw, list) else str(raw)
+    try:
+        value = text if action.type is None else action.type(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"config key {key!r}: {raw!r}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r}: {raw!r} is not one of {list(action.choices)}")
+    return value
+
+
+def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Layer defaults < config file < explicit flags."""
     path = args.config or os.environ.get("GHZDC_CONFIG")
     file_values = {}
@@ -143,17 +160,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
-    resolved = {}
-    for key, default in DEFAULTS.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_values.get(key, default)
-        resolved[key] = value
+    # Every subcommand's flags by destination: the flag name with '-' as '_'.
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for p in subparsers.choices.values() for a in p._actions}
+    resolved = dict(DEFAULTS)
+    for key, raw in file_values.items():
+        if key not in DEFAULTS:
+            raise ValueError(f"unknown config key {key!r} (keys are flag names with '-' as '_')")
+        if raw is not None:
+            resolved[key] = _file_value(key, raw, actions[key])
+    for key in DEFAULTS:
+        if getattr(args, key, None) is not None:
+            resolved[key] = getattr(args, key)
     resolved["command"] = args.command
-    if resolved["rounds"] is not None and resolved["rounds"] < 1:
-        raise ValueError("rounds must be >= 1")
-    if not 0.0 <= resolved["p_check"] <= 1.0:
-        raise ValueError("p_check must lie in [0, 1]")
     return resolved
 
 
@@ -282,7 +301,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
+        cfg = resolve_config(args, parser)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"ghzdc: invalid configuration: {exc}", file=sys.stderr)
         return 2

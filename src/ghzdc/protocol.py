@@ -33,14 +33,14 @@ from .cavity import CANONICAL_PULSE, PulseParams, effective_unitary
 from .qstate import (
     COMPUTATIONAL,
     PLUS_MINUS,
+    SQRT_HALF,
     Y_BASIS,
     QuantumState,
     apply_gate,
     apply_two_qubit,
     measure,
+    outcome_distribution,
 )
-
-SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 MAX_USERS = 11
 
@@ -82,12 +82,7 @@ _ENCODING_MATRICES = {
 }
 
 
-def prepare_ghz() -> QuantumState:
-    """Three-qubit resource state (|eee> + i|ggg>)/sqrt(2)."""
-    return prepare_ghz_n(2)
-
-
-def prepare_ghz_n(n_users: int) -> QuantumState:
+def prepare_ghz(n_users: int = 2) -> QuantumState:
     """Resource state (|e...e> + i|g...g>)/sqrt(2) on n_users + 1 qubits."""
     if not 2 <= n_users <= MAX_USERS:
         raise ValueError(f"n_users must be 2..{MAX_USERS}, got {n_users}")
@@ -98,15 +93,15 @@ def prepare_ghz_n(n_users: int) -> QuantumState:
 
 
 def encode(state: QuantumState, op: EncodingOp) -> QuantumState:
-    """Apply Alice's operation to qubit 1 of the three-qubit resource state."""
-    if state.num_qubits != 3:
-        raise ValueError(f"encode expects a 3-qubit state, got {state.num_qubits}")
+    """Apply Alice's operation to qubit 1 of a resource register of 3 or more qubits."""
+    if state.num_qubits < 3:
+        raise ValueError(f"encode expects at least 3 qubits, got {state.num_qubits}")
     return apply_gate(state, op.matrix, 1)
 
 
-def encode_on(state: QuantumState, op: EncodingOp) -> QuantumState:
-    """Encoding on qubit 1 of a register of any size (multi-user sessions)."""
-    return apply_gate(state, op.matrix, 1)
+# Earlier names of the two definitions above, still imported by the tests.
+prepare_ghz_n = prepare_ghz
+encode_on = encode
 
 
 def bob_interaction(
@@ -200,35 +195,14 @@ def parity_accept_set(n_parties: int = 3) -> dict[str, int]:
     """
     if not 3 <= n_parties <= MAX_USERS + 1:
         raise ValueError(f"n_parties must be 3..{MAX_USERS + 1}")
-    state = prepare_ghz_n(n_parties - 1)
+    state = prepare_ghz(n_parties - 1)
     accept: dict[str, int] = {}
     for combo in product("XY", repeat=n_parties):
-        probs = _combo_outcome_probs(state, combo)
-        parities = {sum(bits) % 2 for bits, p in probs.items() if p > 1e-12}
+        probs = outcome_distribution(state, [CHECK_BASES[label] for label in combo])
+        parities = {sum(bits) % 2 for bits, p in np.ndenumerate(probs) if p > 1e-12}
         if len(parities) == 1:
             accept["".join(combo)] = parities.pop()
     return accept
-
-
-def _combo_outcome_probs(state: QuantumState, combo) -> dict[tuple[int, ...], float]:
-    """Joint outcome distribution when the first len(combo) qubits are measured.
-
-    Extra qubits (an eavesdropper's ancilla, say) are traced out implicitly.
-    """
-    n = state.num_qubits
-    k = len(combo)
-    tensor = state.amplitudes.reshape([2] * n)
-    # Rotate each measured qubit into the frame where its basis is computational.
-    for axis, label in enumerate(combo):
-        rot = CHECK_BASES[label].matrix().conj()
-        tensor = np.moveaxis(np.tensordot(rot, tensor, axes=([1], [axis])), 0, axis)
-    flat = tensor.reshape(2 ** k, -1)
-    probs = np.sum(np.abs(flat) ** 2, axis=1)
-    out = {}
-    for idx in range(2 ** k):
-        bits = tuple((idx >> (k - 1 - j)) & 1 for j in range(k))
-        out[bits] = float(probs[idx])
-    return out
 
 
 @dataclass(frozen=True)
@@ -339,12 +313,6 @@ class SessionRecord:
     decoded_bits: int | None = None
     check: CheckRecord | None = None
 
-    @property
-    def charlie_outcome(self) -> str | None:
-        if self.partner_signs and len(self.partner_signs) == 1:
-            return self.partner_signs[0]
-        return None
-
     def to_json_dict(self) -> dict:
         return {
             "round_index": self.round_index,
@@ -392,10 +360,20 @@ def measure_decode(
     return "".join(pair_chars), tuple(signs)
 
 
+def random_check_round(state: QuantumState, rng: np.random.Generator, n_parties: int = 3) -> CheckRecord:
+    """Check round on qubits 1..n_parties with bases and results drawn from ``rng``.
+
+    The replay rule fixes the draw order: all bases first, then one uniform per party.
+    """
+    bases = ["XY"[rng.integers(2)] for _ in range(n_parties)]
+    rands = [rng.random() for _ in range(n_parties)]
+    return security_check_round(state, bases, rands)
+
+
 @functools.lru_cache(maxsize=128)
 def _honest_post_state(n_users: int, op: EncodingOp, pulse: PulseParams, receiver_qubit: int) -> QuantumState:
     # Message rounds of an honest session all start from this state.
-    state = encode_on(prepare_ghz_n(n_users), op)
+    state = encode(prepare_ghz(n_users), op)
     return bob_interaction(state, pulse, qubits=(1, receiver_qubit))
 
 
@@ -404,11 +382,8 @@ def run_session(
 ) -> SessionRecord:
     """Execute one full round (branch selection through decoding)."""
     rng = round_rng(config.rng_seed, round_index)
-    n_parties = config.n_users + 1
     if rng.random() < config.p_check:
-        bases = ["XY"[rng.integers(2)] for _ in range(n_parties)]
-        rands = [rng.random() for _ in range(n_parties)]
-        record = security_check_round(prepare_ghz_n(config.n_users), bases, rands)
+        record = random_check_round(prepare_ghz(config.n_users), rng, config.n_users + 1)
         return SessionRecord(round_index=round_index, branch="check", check=record)
     if message_bits is None:
         raise ValueError("message bits are required on an encoding round")

@@ -208,16 +208,39 @@ def apply_two_qubit(state: QuantumState, unitary, qubits: tuple[int, int]) -> Qu
     return QuantumState._from_trusted(np.ascontiguousarray(out).reshape(-1))
 
 
+def basis_amplitudes(state: QuantumState, bases) -> np.ndarray:
+    """Amplitude tensor, shape ``(2,) * num_qubits``, with qubit j+1 rotated into ``bases[j]``.
+
+    Index r on a rotated axis is the amplitude of result r in that basis.  A
+    ``None`` entry, and every qubit past ``len(bases)``, is left as it is.
+    """
+    n = state.num_qubits
+    if len(bases) > n:
+        raise ValueError(f"{len(bases)} bases for {n} qubits")
+    tensor = state.amplitudes.reshape([2] * n)
+    for axis, basis in enumerate(bases):
+        if basis is not None:
+            rotated = np.tensordot(basis.rotation_gate(), tensor, axes=([1], [axis]))
+            tensor = np.moveaxis(rotated, 0, axis)
+    return tensor
+
+
+def outcome_distribution(state: QuantumState, bases) -> np.ndarray:
+    """Joint Born probabilities of measuring qubit j+1 in ``bases[j]``.
+
+    The result has one axis of length 2 per non-``None`` basis, in qubit
+    order; ``None`` entries and qubits past ``len(bases)`` are summed out.
+    """
+    probs = np.abs(basis_amplitudes(state, bases)) ** 2
+    padded = list(bases) + [None] * (state.num_qubits - len(bases))
+    return probs.sum(axis=tuple(axis for axis, basis in enumerate(padded) if basis is None))
+
+
 def born_probabilities(state: QuantumState, qubit: int, basis: MeasurementBasis) -> tuple[float, float]:
     """Probabilities of the two outcomes of measuring one qubit in the basis."""
     axis = _check_qubit(state, qubit)
-    n = state.num_qubits
-    tensor = state.amplitudes.reshape([2] * n)
-    probs = []
-    for vec in basis.matrix():
-        amp = np.tensordot(vec.conj(), tensor, axes=([0], [axis]))
-        probs.append(float(np.sum(np.abs(amp) ** 2)))
-    return probs[0], probs[1]
+    p0, p1 = outcome_distribution(state, [None] * axis + [basis])
+    return float(p0), float(p1)
 
 
 def _project(state: QuantumState, axis: int, vec: np.ndarray) -> tuple[float, np.ndarray]:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ghzdc.adversary import (
+    STRATEGIES,
     AdversaryModel,
     AncillaTradeoff,
     ancilla_attack_tradeoff,
@@ -26,6 +27,7 @@ from ghzdc.adversary import (
     monte_carlo_confirm,
     solo_guess_probability,
 )
+from ghzdc.cli import MODEL_FLAGS
 from ghzdc.protocol import EncodingOp, Role, prepare_ghz
 from ghzdc.qstate import QuantumState
 
@@ -48,6 +50,12 @@ class TestModels:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             AdversaryModel("mallory")
+
+    def test_cli_flags_and_strategy_table_agree(self):
+        for kind in MODEL_FLAGS.values():
+            model = AdversaryModel(kind, target_qubit=2, basis="computational", theta=0.3)
+            assert model.kind == kind
+        assert set(STRATEGIES) <= set(MODEL_FLAGS.values())
 
 
 class TestDecodeDistribution:

@@ -184,6 +184,22 @@ class TestConfigLayering:
         code, _, _ = run_cli(["session", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "values,key",
+        [
+            ({"rounds": "abc"}, "rounds"),
+            ({"n_users": "3"}, "n_users"),
+            ({"p-check": 0.9, "roundz": 5}, "p-check"),
+        ],
+    )
+    def test_bad_file_value_names_its_key(self, values, key, capsys, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(values))
+        code, _, err = run_cli(["session", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "invalid configuration" in err
+        assert repr(key) in err
+
 
 class TestIOFailure:
     def test_unwritable_output_exits_three(self, capsys, tmp_path):

@@ -5,6 +5,8 @@ the operation matrices under the package conventions (qubit 1 most
 significant, |e> -> bit 0).
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from ghzdc.qstate import (
     fidelity,
     global_phase_equal,
     measure,
+    outcome_distribution,
 )
 
 SQ2 = 1 / np.sqrt(2)
@@ -215,6 +218,67 @@ class TestMeasurement:
     def test_collapse_zero_probability_branch_rejected(self):
         with pytest.raises(ValueError):
             collapse(QuantumState.basis_state("e"), 1, COMPUTATIONAL, 1)
+
+
+def product_bra_probabilities(state: QuantumState, bases) -> np.ndarray:
+    """Oracle: |<r_1 ... r_k ; x|psi>|^2 from explicit product bras, summed over x.
+
+    x runs over the computational states of the qubits with no basis
+    (``None`` entries and qubits past ``len(bases)``).
+    """
+    n = state.num_qubits
+    bases = list(bases) + [None] * (n - len(bases))
+    measured = [q for q in range(n) if bases[q] is not None]
+    probs = np.zeros((2,) * len(measured))
+    for results in product((0, 1), repeat=len(measured)):
+        for rest in product((0, 1), repeat=n - len(measured)):
+            picks = dict(zip(measured, results))
+            free = iter(rest)
+            bra = np.ones(1, dtype=complex)
+            for q in range(n):
+                if bases[q] is None:
+                    factor = np.eye(2)[next(free)]
+                else:
+                    factor = bases[q].matrix()[picks[q]].conj()
+                bra = np.kron(bra, factor)
+            probs[results] += abs(bra @ state.amplitudes) ** 2
+    return probs
+
+
+class TestOutcomeDistribution:
+    CHOICES = (COMPUTATIONAL, PLUS_MINUS, Y_BASIS, None)
+
+    def test_matches_product_bra_enumeration(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            s = random_state(rng, 4)
+            # Three bases on four qubits: qubit 4 is always summed out.
+            bases = [self.CHOICES[i] for i in rng.integers(len(self.CHOICES), size=3)]
+            got = outcome_distribution(s, bases)
+            want = product_bra_probabilities(s, bases)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_sums_to_one(self):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            s = random_state(rng, 4)
+            bases = [self.CHOICES[i] for i in rng.integers(len(self.CHOICES), size=4)]
+            assert outcome_distribution(s, bases).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_marginals_agree_with_born_probabilities(self):
+        rng = np.random.default_rng(53)
+        s = random_state(rng, 4)
+        for basis in (COMPUTATIONAL, PLUS_MINUS, Y_BASIS):
+            joint = outcome_distribution(s, [basis] * 4)
+            for qubit in range(1, 5):
+                others = tuple(axis for axis in range(4) if axis != qubit - 1)
+                marginal = joint.sum(axis=others)
+                assert marginal == pytest.approx(born_probabilities(s, qubit, basis), abs=1e-12)
+
+    def test_more_bases_than_qubits_rejected(self):
+        with pytest.raises(ValueError):
+            outcome_distribution(ghz_state(), [COMPUTATIONAL] * 4)
 
 
 class TestFidelity:
