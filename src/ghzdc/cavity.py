@@ -27,8 +27,9 @@ in 4-dim matrices follows qstate: atom 1 is the most significant bit and
 from __future__ import annotations
 
 import functools
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import expm
@@ -37,6 +38,13 @@ from .qstate import I_SIGMA_Y, IDENTITY, SIGMA_X, SIGMA_Z, QuantumState
 
 S_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |e><g|
 S_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |g><e|
+
+
+def _require_finite(params) -> None:
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,7 @@ class CavityParams:
     omega_drive: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.g < 0:
             raise ValueError("coupling g must be >= 0")
         if self.delta <= 0:
@@ -100,6 +109,7 @@ class PulseParams:
     omega_t: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lambda_t < 0 or self.omega_t < 0:
             raise ValueError("pulse areas must be >= 0")
 
@@ -199,33 +209,26 @@ def full_hamiltonian(params: CavityParams, fock: FockSpace) -> np.ndarray:
     Ordering is atoms (x) cavity with the atom pair index major.  In this
     frame the bare terms become (omega0 - omega_drive) Sz and
     (omega_a - omega_drive) n, so a resonant drive leaves ``-delta n`` plus
-    the exchange coupling and the now-static drive.
+    the exchange coupling and the now-static drive.  Every matrix element is
+    real, so the generator is returned as a real symmetric ``float64`` array.
     """
     nc = fock.levels
-    lower = np.diag(np.sqrt(np.arange(1, nc)), 1)  # photon annihilation
-    raise_ = lower.conj().T
-    number = raise_ @ lower
-    eye_cav = np.eye(nc)
-    eye_atoms = np.eye(4)
-
-    def on_atom(op: np.ndarray, j: int) -> np.ndarray:
-        return np.kron(op, IDENTITY) if j == 0 else np.kron(IDENTITY, op)
-
-    sz = 0.5 * (on_atom(SIGMA_Z, 0) + on_atom(SIGMA_Z, 1))
-    h = (params.omega0 - params.omega_drive) * np.kron(sz, eye_cav)
-    h = h + (params.omega_a - params.omega_drive) * np.kron(eye_atoms, number)
-    for j in (0, 1):
-        h = h + params.g * (
-            np.kron(on_atom(S_MINUS, j), raise_) + np.kron(on_atom(S_PLUS, j), lower)
-        )
-        h = h + params.omega_rabi * np.kron(on_atom(SIGMA_X, j), eye_cav)
+    n = np.arange(nc)
+    sz = np.array([1.0, 0.0, 0.0, -1.0])  # (sz_1 + sz_2) / 2 on |ee>, |eg>, |ge>, |gg>
+    bare = (params.omega0 - params.omega_drive) * sz[:, None]
+    bare = bare + (params.omega_a - params.omega_drive) * n
+    h = np.diag(bare.ravel())
+    exchange = params.g * np.sqrt(n[1:])
+    for pair in range(4):
+        for bit in (2, 1):  # atom 1 is the most significant bit of the pair index
+            flipped = pair ^ bit
+            h[pair * nc + n, flipped * nc + n] = params.omega_rabi
+            if not pair & bit:
+                # The atom is excited in ``pair``: S-_j a^dagger takes |pair, m> to
+                # |flipped, m+1> with amplitude g sqrt(m+1); S+_j a is its transpose.
+                h[flipped * nc + n[1:], pair * nc + n[:-1]] = exchange
+                h[pair * nc + n[:-1], flipped * nc + n[1:]] = exchange
     return h
-
-
-def _expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    # Spectral exponential: exact unitarity even for very large ||H t||.
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -241,6 +244,8 @@ def _cavity_weights(initial_cavity, levels: int) -> np.ndarray:
         weights[initial_cavity] = 1.0
         return weights
     weights = np.asarray(initial_cavity, dtype=float)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"mixture weights must be finite, got {initial_cavity!r}")
     if weights.ndim != 1 or weights.size > levels or np.any(weights < 0):
         raise ValueError("mixture weights must be a nonnegative vector within the truncation")
     total = weights.sum()
@@ -277,20 +282,21 @@ def validate_effective_model(
             duration = pulse.lambda_t / lam
     realized = PulseParams(lambda_t=lam * duration, omega_t=params.omega_rabi * duration)
     u_eff = effective_unitary(realized)
-    u_full = _expm_hermitian(full_hamiltonian(params, fock), duration)
 
     levels = fock.levels
     weights = _cavity_weights(initial_cavity, levels)
+    fock_in = np.flatnonzero(weights)
+    # Propagate only the input columns |atom_in, n> that carry weight:
+    # exp(-iHt)[:, cols] = V exp(-iwt) V[cols, :]^T for the real orthogonal V.
+    energies, modes = np.linalg.eigh(full_hamiltonian(params, fock))
+    cols = (np.arange(4)[:, None] * levels + fock_in).ravel()
+    outputs = (modes * np.exp(-1j * energies * duration)) @ modes[cols].T
+    branches = outputs.T.reshape(4, fock_in.size, 4, levels)
     worst = 0.0
     worst_leak = 0.0
     for atom_in in range(4):
         rho = np.zeros((4, 4), dtype=complex)
-        for n, w in enumerate(weights):
-            if w == 0.0:
-                continue
-            psi0 = np.zeros(4 * levels, dtype=complex)
-            psi0[atom_in * levels + n] = 1.0
-            branch = (u_full @ psi0).reshape(4, levels)
+        for branch, w in zip(branches[atom_in], weights[fock_in]):
             worst_leak = max(worst_leak, float(np.sum(np.abs(branch[:, -1]) ** 2)))
             rho += w * (branch @ branch.conj().T)
         target = u_eff[:, atom_in]
@@ -348,8 +354,8 @@ def timing_error_fidelity(epsilon: float) -> float:
     time); only the coupling angle scales.  Returns the minimum squared
     overlap with the ideal output over the four encoded inputs.
     """
-    if abs(epsilon) >= 1.0:
-        raise ValueError("epsilon must satisfy |epsilon| < 1")
+    if not abs(epsilon) < 1.0:  # also rejects nan
+        raise ValueError(f"epsilon must be finite with |epsilon| < 1, got {epsilon!r}")
     ideal = effective_unitary(CANONICAL_PULSE)
     perturbed = effective_unitary(
         PulseParams(lambda_t=(1.0 + epsilon) * np.pi / 4, omega_t=np.pi)

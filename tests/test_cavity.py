@@ -6,12 +6,21 @@ driven model is probed for structure, truncation warnings, and the
 regime-limit behavior of the validation error.
 """
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import ghzdc
 from ghzdc.cavity import (
     CANONICAL_PULSE,
+    S_MINUS,
+    S_PLUS,
     CavityParams,
     FockSpace,
     PulseParams,
@@ -25,6 +34,7 @@ from ghzdc.cavity import (
     timing_error_fidelity,
     validate_effective_model,
 )
+from ghzdc.qstate import IDENTITY, SIGMA_X, SIGMA_Z
 
 SQ2 = 1 / np.sqrt(2)
 SWAP = np.eye(4)[[0, 2, 1, 3]]
@@ -32,6 +42,47 @@ SWAP = np.eye(4)[[0, 2, 1, 3]]
 
 def params_for(delta_over_g=10.0, omega_over_delta=20.0, g=1.0):
     return CavityParams.from_ratios(delta_over_g, omega_over_delta, g)
+
+
+def kron_chain_hamiltonian(params, fock):
+    """Reference generator: the driven Tavis-Cummings model as a sum of complex Kronecker terms."""
+    nc = fock.levels
+    lower = np.diag(np.sqrt(np.arange(1, nc)), 1).astype(complex)
+    raise_ = lower.conj().T
+    eye_cav = np.eye(nc)
+
+    def on_atom(op, j):
+        return np.kron(op, IDENTITY) if j == 0 else np.kron(IDENTITY, op)
+
+    sz = 0.5 * (on_atom(SIGMA_Z, 0) + on_atom(SIGMA_Z, 1))
+    h = (params.omega0 - params.omega_drive) * np.kron(sz, eye_cav)
+    h = h + (params.omega_a - params.omega_drive) * np.kron(np.eye(4), raise_ @ lower)
+    for j in (0, 1):
+        h = h + params.g * (
+            np.kron(on_atom(S_MINUS, j), raise_) + np.kron(on_atom(S_PLUS, j), lower)
+        )
+        h = h + params.omega_rabi * np.kron(on_atom(SIGMA_X, j), eye_cav)
+    return h
+
+
+def dense_expm_validation(params, fock, pulse, weights, duration=None):
+    """Reference validation error: full propagator from scipy's expm, every branch kept."""
+    lam = params.dispersive_coupling
+    t = pulse.lambda_t / lam if duration is None else duration
+    closed = effective_unitary(PulseParams(lam * t, params.omega_rabi * t))
+    u = expm(-1j * kron_chain_hamiltonian(params, fock) * t)
+    levels = fock.levels
+    weights = np.asarray(weights, dtype=float) / np.sum(weights)
+    worst = 0.0
+    for atom_in in range(4):
+        rho = np.zeros((4, 4), dtype=complex)
+        for n, w in enumerate(weights):
+            branch = u[:, atom_in * levels + n].reshape(4, levels)
+            rho += w * (branch @ branch.conj().T)
+        target = closed[:, atom_in]
+        eigs = np.linalg.eigvalsh(rho - np.outer(target, target.conj()))
+        worst = max(worst, 0.5 * float(np.sum(np.abs(eigs))))
+    return worst
 
 
 class TestCavityParams:
@@ -59,6 +110,25 @@ class TestCavityParams:
     def test_negative_pulse_rejected(self):
         with pytest.raises(ValueError):
             PulseParams(-0.1, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["g", "delta", "omega_rabi", "omega0", "omega_a", "omega_drive"]
+    )
+    def test_non_finite_cavity_field_rejected(self, field, bad):
+        values = {"g": 1.0, "delta": 10.0, "omega_rabi": 200.0,
+                  "omega0": 10.0, "omega_a": 0.0, "omega_drive": 10.0}
+        values[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            CavityParams(**values)
+
+    @pytest.mark.parametrize("lambda_t,omega_t,field", [
+        (float("nan"), np.pi, "lambda_t"),
+        (np.pi / 4, float("inf"), "omega_t"),
+    ])
+    def test_non_finite_pulse_rejected(self, lambda_t, omega_t, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PulseParams(lambda_t, omega_t)
 
 
 class TestEffectiveUnitary:
@@ -221,6 +291,16 @@ class TestFullHamiltonian:
         with pytest.raises(ValueError):
             FockSpace(0)
 
+    @pytest.mark.parametrize("n_max", [4, 8])
+    @pytest.mark.parametrize("params", [params_for(), CavityParams(
+        g=0.7, delta=3.0, omega_rabi=11.0, omega0=5.0, omega_a=2.0, omega_drive=4.5)])
+    def test_real_symmetric_and_equal_to_kron_chain(self, params, n_max):
+        fock = FockSpace(n_max)
+        h = full_hamiltonian(params, fock)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+        assert np.max(np.abs(h - kron_chain_hamiltonian(params, fock))) < 1e-12
+
 
 class TestValidateEffectiveModel:
     def test_decoupled_atoms_have_zero_error(self):
@@ -245,6 +325,29 @@ class TestValidateEffectiveModel:
         p = CavityParams.resonant(g=1.0, delta=2.0, omega_rabi=4.0)
         with pytest.warns(TruncationWarning):
             validate_effective_model(p, FockSpace(1), CANONICAL_PULSE, 1)
+
+    @pytest.mark.parametrize("n_max", [4, 8])
+    @pytest.mark.parametrize("initial_cavity,duration", [
+        (0, None), (1, None), ([0.5, 0.3, 0.2], None), (0, 2.5),
+    ])
+    def test_matches_dense_expm_oracle(self, initial_cavity, duration, n_max):
+        p = params_for()
+        fock = FockSpace(n_max)
+        weights = np.zeros(fock.levels)
+        if isinstance(initial_cavity, int):
+            weights[initial_cavity] = 1.0
+        else:
+            weights[: len(initial_cavity)] = initial_cavity
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)  # n_max 4 is meant to truncate
+            err = validate_effective_model(p, fock, CANONICAL_PULSE, initial_cavity, duration)
+        expected = dense_expm_validation(p, fock, CANONICAL_PULSE, weights, duration)
+        assert abs(err - expected) < 1e-10
+
+    @pytest.mark.parametrize("weights", [[float("nan"), 1.0], [0.5, float("inf")]])
+    def test_non_finite_mixture_rejected(self, weights):
+        with pytest.raises(ValueError, match="mixture weights must be finite"):
+            validate_effective_model(params_for(), FockSpace(4), CANONICAL_PULSE, weights)
 
     def test_mixture_weights_average_branches(self):
         p = params_for(10, 20)
@@ -285,3 +388,62 @@ class TestTimingErrorFidelity:
     def test_epsilon_range_validated(self):
         with pytest.raises(ValueError):
             timing_error_fidelity(1.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            timing_error_fidelity(eps)
+
+
+class TestSidebandLaw:
+    """The drive sidebands leave a Fock-0/1 error gap of sqrt(2)*pi*delta/(8*Omega).
+
+    Acceptance 7b demands that gap vanish at Omega/delta = 20; this pins the
+    law that explains why it does not: the gap falls as 1/Omega with that
+    coefficient, at delta/g = 40 where the dispersive terms are negligible.
+    """
+
+    RATIOS = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
+
+    @pytest.fixture(scope="class")
+    def gaps(self):
+        fock = FockSpace(8)
+        out = []
+        for ratio in self.RATIOS:
+            p = CavityParams.from_ratios(40.0, ratio)
+            e0 = validate_effective_model(p, fock, CANONICAL_PULSE, 0)
+            e1 = validate_effective_model(p, fock, CANONICAL_PULSE, 1)
+            out.append(abs(e1 - e0))
+        return np.array(out)
+
+    def test_coefficient(self, gaps):
+        assert np.allclose(gaps * self.RATIOS, np.sqrt(2) * np.pi / 8, rtol=0.01, atol=0.0)
+
+    def test_inverse_omega_slope(self, gaps):
+        slope, _ = np.polyfit(np.log(self.RATIOS), np.log(gaps), 1)
+        assert slope == pytest.approx(-1.0, rel=0.01)
+
+
+class TestBlasThreadDefault:
+    """Importing ghzdc defaults OpenBLAS to one thread unless a thread count is already set."""
+
+    THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    def openblas_threads_after_import(self, **settings):
+        env = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
+        src = str(Path(ghzdc.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update(settings)
+        code = "import ghzdc, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        return proc.stdout.strip()
+
+    def test_unset_defaults_to_one(self):
+        assert self.openblas_threads_after_import() == "1"
+
+    def test_user_openblas_setting_kept(self):
+        assert self.openblas_threads_after_import(OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_omp_setting_leaves_openblas_unset(self):
+        assert self.openblas_threads_after_import(OMP_NUM_THREADS="2") == "None"

@@ -116,6 +116,22 @@ class TestSweeps:
         assert lines[0] == "delta_over_g,omega_over_delta,n_max,error"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["physics-sweep", "--delta-over-g", "nan"], "delta"),
+            (["physics-sweep", "--delta-over-g", "10,inf"], "delta"),
+            (["physics-sweep", "--omega-over-delta", "inf"], "omega_rabi"),
+            (["physics-sweep", "--lambda-t", "nan"], "lambda_t"),
+            (["timing-sweep", "--epsilon-grid", "0,nan"], "epsilon"),
+        ],
+    )
+    def test_non_finite_input_exits_two(self, argv, field, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"invalid configuration: {field} must be finite" in err
+
     def test_timing_sweep_fidelities(self, capsys):
         code, out, _ = run_cli(["timing-sweep", "--epsilon-grid", "0,0.05"], capsys)
         assert code == 0

@@ -53,10 +53,11 @@ def invocations() -> dict[str, list[str]]:
             "adversary", "--model", "ancilla", "--theta", theta,
             "--rounds", ADVERSARY_ROUNDS, "--seed", "1",
         ]
-    runs["physics-sweep.csv"] = [
-        "physics-sweep", "--delta-over-g", "10,20,40", "--omega-over-delta", "20",
-        "--n-max", "8", "--format", "csv",
-    ]
+    for fock, name in ((0, "physics-sweep.csv"), (1, "physics-sweep-fock1.csv")):
+        runs[name] = [
+            "physics-sweep", "--delta-over-g", "10,20,40", "--omega-over-delta", "20",
+            "--n-max", "8", "--cavity-fock", str(fock), "--format", "csv",
+        ]
     runs["timing-sweep.jsonl"] = ["timing-sweep", "--epsilon-grid=-0.05:0.05:21"]
     for n_users in (2, 3, 7, 11):
         runs[f"decode-table-n{n_users}.jsonl"] = ["decode-table", "--n-users", str(n_users)]
