@@ -185,8 +185,8 @@ def check_violation_rate(state: QuantumState, n_parties: int = 3) -> float:
     total = 0.0
     for combo, expected in accept.items():
         probs = outcome_distribution(state, [CHECK_BASES[label] for label in combo])
-        # Same support threshold as the accept-set derivation, so states that
-        # pass every check exactly report a rate of exactly zero.  The sum runs
+        # Outcomes below 1e-12 are float residue of zero amplitudes, so states
+        # that pass every check exactly report a rate of exactly zero.  The sum runs
         # in index order, which fixes its float rounding.
         total += combo_weight * sum(
             float(p) for bits, p in np.ndenumerate(probs) if p > 1e-12 and sum(bits) % 2 != expected

@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qstate import I_SIGMA_Y, IDENTITY, SIGMA_X, SIGMA_Z, QuantumState
 
@@ -119,15 +118,22 @@ class PulseParams:
 CANONICAL_PULSE = PulseParams(lambda_t=np.pi / 4, omega_t=np.pi)
 
 
+# Largest truncation accepted: one validation at n_max 400 is a dense
+# 1604x1604 eigensolve, ~1 s and ~170 MB; the cost grows as n_max**3.
+MAX_FOCK = 400
+
+
 @dataclass(frozen=True)
 class FockSpace:
-    """Cavity truncation: photon numbers 0..n_max retained."""
+    """Cavity truncation: photon numbers 0..n_max retained, 1 <= n_max <= MAX_FOCK."""
 
     n_max: int = 8
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if self.n_max > MAX_FOCK:
+            raise ValueError(f"n_max must be <= {MAX_FOCK}, got {self.n_max}")
 
     @property
     def levels(self) -> int:
@@ -198,9 +204,13 @@ def evolution_operator(params: CavityParams, t: float) -> np.ndarray:
     """Ordered product exp(-i H_drive t) exp(-i H_eff t) on the atom pair."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    u_drive = expm(-1j * drive_hamiltonian(params) * t)
-    u_eff = expm(-1j * effective_hamiltonian(params) * t)
-    return u_drive @ u_eff
+    return _propagator(drive_hamiltonian(params), t) @ _propagator(effective_hamiltonian(params), t)
+
+
+def _propagator(h: np.ndarray, t: float) -> np.ndarray:
+    # exp(-i h t) of a Hermitian generator, from its eigendecomposition.
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def full_hamiltonian(params: CavityParams, fock: FockSpace) -> np.ndarray:

@@ -39,7 +39,6 @@ from .qstate import (
     apply_gate,
     apply_two_qubit,
     measure,
-    outcome_distribution,
 )
 
 MAX_USERS = 11
@@ -188,20 +187,20 @@ CHECK_BASES = {"X": PLUS_MINUS, "Y": Y_BASIS}
 def parity_accept_set(n_parties: int = 3) -> dict[str, int]:
     """Basis combinations with deterministic outcome parity on the honest state.
 
-    Derived by exhaustive Born-rule enumeration of the (n_parties)-qubit
-    resource state, not hard-coded: a combination is accepted when every
-    outcome of nonzero probability has the same parity, and the map value
-    is that parity.
+    Measuring (|e...e> + i|g...g>)/sqrt(2) on n = n_parties qubits with k Y
+    factors gives result string b the amplitude
+    (1 + i (-i)^k (-1)^|b|) / 2^((n+1)/2), so the parity |b| mod 2 is fixed
+    exactly when k is odd: 0 for k = 1 (mod 4) and 1 for k = 3 (mod 4).
+    Keys follow ``product("XY", repeat=n_parties)`` order; the tests check
+    the map against Born-rule enumeration.
     """
     if not 3 <= n_parties <= MAX_USERS + 1:
         raise ValueError(f"n_parties must be 3..{MAX_USERS + 1}")
-    state = prepare_ghz(n_parties - 1)
     accept: dict[str, int] = {}
     for combo in product("XY", repeat=n_parties):
-        probs = outcome_distribution(state, [CHECK_BASES[label] for label in combo])
-        parities = {sum(bits) % 2 for bits, p in np.ndenumerate(probs) if p > 1e-12}
-        if len(parities) == 1:
-            accept["".join(combo)] = parities.pop()
+        k = combo.count("Y")
+        if k % 2:
+            accept["".join(combo)] = (k % 4) // 2
     return accept
 
 

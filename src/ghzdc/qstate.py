@@ -16,6 +16,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,27 +171,28 @@ class MeasurementOutcome:
 def _check_qubit(state: QuantumState, qubit: int) -> int:
     if not 1 <= qubit <= state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range 1..{state.num_qubits}")
-    return qubit - 1  # axis in the reshaped amplitude tensor
+    return qubit - 1  # number of qubits before this one
 
 
 def _check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {matrix.shape}")
-    if np.max(np.abs(matrix @ matrix.conj().T - np.eye(dim))) > TOL_UNITARY:
+    if np.abs(matrix @ matrix.conj().T - np.eye(dim)).max() > TOL_UNITARY:
         raise ValueError("matrix is not unitary within tolerance")
     return matrix
+
+
+def _view(amps: np.ndarray, axis: int) -> np.ndarray:
+    # (qubits before, the target qubit, qubits after); a reshape, never a copy.
+    return amps.reshape(1 << axis, 2, -1)
 
 
 def apply_gate(state: QuantumState, gate, qubit: int) -> QuantumState:
     """Apply a single-qubit unitary to the given qubit (1-based)."""
     axis = _check_qubit(state, qubit)
     gate = _check_unitary(gate, 2)
-    n = state.num_qubits
-    tensor = state.amplitudes.reshape([2] * n)
-    out = np.tensordot(gate, tensor, axes=([1], [axis]))
-    out = np.moveaxis(out, 0, axis)
-    return QuantumState._from_trusted(np.ascontiguousarray(out).reshape(-1))
+    return QuantumState._from_trusted((gate @ _view(state.amplitudes, axis)).reshape(-1))
 
 
 def apply_two_qubit(state: QuantumState, unitary, qubits: tuple[int, int]) -> QuantumState:
@@ -199,13 +201,12 @@ def apply_two_qubit(state: QuantumState, unitary, qubits: tuple[int, int]) -> Qu
     if qa == qb:
         raise ValueError("two-qubit unitary needs distinct qubits")
     axa, axb = _check_qubit(state, qa), _check_qubit(state, qb)
-    unitary = _check_unitary(unitary, 4)
-    n = state.num_qubits
-    tensor = state.amplitudes.reshape([2] * n)
-    u = unitary.reshape(2, 2, 2, 2)  # (out_a, out_b, in_a, in_b)
-    out = np.tensordot(u, tensor, axes=([2, 3], [axa, axb]))
-    out = np.moveaxis(out, [0, 1], [axa, axb])
-    return QuantumState._from_trusted(np.ascontiguousarray(out).reshape(-1))
+    u = _check_unitary(unitary, 4).reshape(2, 2, 2, 2)  # (out_a, out_b, in_a, in_b)
+    if axa > axb:  # make the first qubit of the unitary the earlier one
+        axa, axb, u = axb, axa, u.transpose(1, 0, 3, 2)
+    view = state.amplitudes.reshape(1 << axa, 2, 1 << (axb - axa - 1), 2, -1)
+    out = np.einsum("ijkl,akblc->aibjc", u, view)
+    return QuantumState._from_trusted(out.reshape(-1))
 
 
 def basis_amplitudes(state: QuantumState, bases) -> np.ndarray:
@@ -217,12 +218,11 @@ def basis_amplitudes(state: QuantumState, bases) -> np.ndarray:
     n = state.num_qubits
     if len(bases) > n:
         raise ValueError(f"{len(bases)} bases for {n} qubits")
-    tensor = state.amplitudes.reshape([2] * n)
+    amps = state.amplitudes
     for axis, basis in enumerate(bases):
         if basis is not None:
-            rotated = np.tensordot(basis.rotation_gate(), tensor, axes=([1], [axis]))
-            tensor = np.moveaxis(rotated, 0, axis)
-    return tensor
+            amps = basis.rotation_gate() @ _view(amps, axis)
+    return amps.reshape((2,) * n)
 
 
 def outcome_distribution(state: QuantumState, bases) -> np.ndarray:
@@ -243,19 +243,21 @@ def born_probabilities(state: QuantumState, qubit: int, basis: MeasurementBasis)
     return float(p0), float(p1)
 
 
-def _project(state: QuantumState, axis: int, vec: np.ndarray) -> tuple[float, np.ndarray]:
-    # One contraction yields both the branch probability and its amplitudes.
-    tensor = state.amplitudes.reshape([2] * state.num_qubits)
-    amp = np.tensordot(vec.conj(), tensor, axes=([0], [axis]))
-    prob = float(np.sum(np.abs(amp) ** 2))
-    return prob, amp
+def _branches(state: QuantumState, axis: int, basis: MeasurementBasis):
+    """Both outcome branches of one qubit: amplitudes, shape (before, 2, after), and probabilities.
+
+    ``branch[:, r, :]`` is the unnormalized amplitude of the other qubits
+    given result r, so its squared norm is the Born probability of r.
+    """
+    branch = basis.rotation_gate() @ _view(state.amplitudes, axis)
+    return branch, (np.abs(branch) ** 2).sum(axis=(0, 2)).tolist()
 
 
-def _rebuild(vec: np.ndarray, amp: np.ndarray, axis: int, prob: float) -> QuantumState:
-    collapsed = np.tensordot(vec, amp, axes=0)  # re-insert the measured factor
-    collapsed = np.moveaxis(collapsed, 0, axis)
-    collapsed = np.ascontiguousarray(collapsed).reshape(-1) / np.sqrt(prob)
-    return QuantumState._from_trusted(collapsed)
+def _post_state(basis: MeasurementBasis, branch: np.ndarray, result: int, prob: float) -> QuantumState:
+    # Re-insert the measured qubit as the basis ket of the result.
+    vec = basis.matrix()[result]
+    post = vec[None, :, None] * branch[:, result, None, :] / math.sqrt(prob)
+    return QuantumState._from_trusted(post.reshape(-1))
 
 
 def collapse(
@@ -269,11 +271,11 @@ def collapse(
     if result not in (0, 1):
         raise ValueError("result must be 0 or 1")
     axis = _check_qubit(state, qubit)
-    vec = basis.matrix()[result]
-    prob, amp = _project(state, axis, vec)
+    branch, probs = _branches(state, axis, basis)
+    prob = probs[result]
     if prob <= 1e-300:
         raise ValueError(f"outcome {result} has zero probability")
-    return prob, _rebuild(vec, amp, axis, prob)
+    return prob, _post_state(basis, branch, result, prob)
 
 
 def measure(
@@ -287,20 +289,15 @@ def measure(
     """
     if not 0.0 <= rand < 1.0:
         raise ValueError("rand must lie in [0, 1)")
-    if abs(state.norm() - 1.0) > TOL_UNITARY:
-        raise ValueError("measurement requires a normalized state")
     axis = _check_qubit(state, qubit)
-    vec0 = basis.matrix()[0]
-    p0, amp0 = _project(state, axis, vec0)
-    if rand < p0:
-        result, prob, vec, amp = 0, p0, vec0, amp0
-    else:
-        vec = basis.matrix()[1]
-        prob, amp = _project(state, axis, vec)
-        result = 1
-    post = _rebuild(vec, amp, axis, prob)
+    branch, (p0, p1) = _branches(state, axis, basis)
+    # The basis is orthonormal, so the two branch probabilities sum to the squared norm.
+    if abs(math.sqrt(p0 + p1) - 1.0) > TOL_UNITARY:
+        raise ValueError("measurement requires a normalized state")
+    result = 0 if rand < p0 else 1
+    prob = (p0, p1)[result]
     outcome = MeasurementOutcome(qubit=qubit, basis=basis.name, result=result, probability=prob)
-    return outcome, post
+    return outcome, _post_state(basis, branch, result, prob)
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:

@@ -19,6 +19,7 @@ from scipy.linalg import expm
 import ghzdc
 from ghzdc.cavity import (
     CANONICAL_PULSE,
+    MAX_FOCK,
     S_MINUS,
     S_PLUS,
     CavityParams,
@@ -291,6 +292,11 @@ class TestFullHamiltonian:
         with pytest.raises(ValueError):
             FockSpace(0)
 
+    def test_n_max_cap(self):
+        assert FockSpace(MAX_FOCK).dimension == 4 * (MAX_FOCK + 1)  # constructing allocates nothing
+        with pytest.raises(ValueError, match=f"n_max must be <= {MAX_FOCK}"):
+            FockSpace(MAX_FOCK + 1)
+
     @pytest.mark.parametrize("n_max", [4, 8])
     @pytest.mark.parametrize("params", [params_for(), CavityParams(
         g=0.7, delta=3.0, omega_rabi=11.0, omega0=5.0, omega_a=2.0, omega_drive=4.5)])
@@ -447,3 +453,14 @@ class TestBlasThreadDefault:
 
     def test_omp_setting_leaves_openblas_unset(self):
         assert self.openblas_threads_after_import(OMP_NUM_THREADS="2") == "None"
+
+
+class TestImportFootprint:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        env = dict(os.environ)
+        src = str(Path(ghzdc.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, ghzdc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "[]"

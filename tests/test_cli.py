@@ -132,6 +132,20 @@ class TestSweeps:
         assert out == ""
         assert f"invalid configuration: {field} must be finite" in err
 
+    @pytest.mark.parametrize("use_file", [False, True])
+    def test_n_max_over_cap_exits_two(self, use_file, capsys, tmp_path):
+        argv = ["physics-sweep", "--delta-over-g", "10"]
+        if use_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n_max": 401}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--n-max", "401"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "invalid configuration: n_max must be <= 400" in err
+
     def test_timing_sweep_fidelities(self, capsys):
         code, out, _ = run_cli(["timing-sweep", "--epsilon-grid", "0,0.05"], capsys)
         assert code == 0

@@ -6,6 +6,7 @@ are independent of the package's own gate plumbing.  Basis order: qubit 1
 is the most significant bit, e before g (|eee>=0, ..., |ggg>=7).
 """
 
+import time
 from itertools import product
 
 import numpy as np
@@ -36,9 +37,11 @@ from ghzdc.protocol import (
 from ghzdc.qstate import (
     COMPUTATIONAL,
     PLUS_MINUS,
+    Y_BASIS,
     QuantumState,
     born_probabilities,
     global_phase_equal,
+    outcome_distribution,
 )
 
 SQ2 = 1 / np.sqrt(2)
@@ -256,6 +259,29 @@ class TestAcceptSet:
                 expected["".join(combo)] = support_parities.pop()
         assert parity_accept_set(3) == expected
         assert expected == {"XXY": 0, "XYX": 0, "YXX": 0, "YYY": 1}
+
+    @pytest.mark.parametrize("n_parties", range(3, 9))
+    def test_closed_form_matches_born_enumeration(self, n_parties):
+        """Oracle: a combination is accepted when every outcome of nonzero
+        probability has the same parity, and the map value is that parity."""
+        state = prepare_ghz(n_parties - 1)
+        bases = {"X": PLUS_MINUS, "Y": Y_BASIS}
+        expected = {}
+        for combo in product("XY", repeat=n_parties):
+            probs = outcome_distribution(state, [bases[c] for c in combo])
+            parities = {sum(bits) % 2 for bits, p in np.ndenumerate(probs) if p > 1e-12}
+            if len(parities) == 1:
+                expected["".join(combo)] = parities.pop()
+        accept = parity_accept_set(n_parties)
+        assert accept == expected
+        assert list(accept) == list(expected)  # same key order
+
+    def test_twelve_parties_is_fast(self):
+        parity_accept_set.cache_clear()
+        started = time.perf_counter()
+        accept = parity_accept_set(12)
+        assert time.perf_counter() - started < 1.0
+        assert len(accept) == 2**11
 
     def test_clean_state_never_violates(self):
         rng = np.random.default_rng(6)

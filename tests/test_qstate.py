@@ -9,6 +9,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzdc.qstate import (
     COMPUTATIONAL,
@@ -22,6 +24,7 @@ from ghzdc.qstate import (
     QuantumState,
     apply_gate,
     apply_two_qubit,
+    basis_amplitudes,
     born_probabilities,
     collapse,
     fidelity,
@@ -279,6 +282,105 @@ class TestOutcomeDistribution:
     def test_more_bases_than_qubits_rejected(self):
         with pytest.raises(ValueError):
             outcome_distribution(ghz_state(), [COMPUTATIONAL] * 4)
+
+
+def embed(n, factors) -> np.ndarray:
+    """Oracle: the full 2^n x 2^n operator with ``factors[q]`` (1-based) on qubit q, I elsewhere."""
+    full = np.ones((1, 1), dtype=complex)
+    for q in range(1, n + 1):
+        full = np.kron(full, factors.get(q, IDENTITY))
+    return full
+
+
+def embed_pair(n, unitary, qa, qb) -> np.ndarray:
+    """Oracle: a 4x4 unitary on the ordered pair (qa, qb), as a sum of Kronecker chains."""
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for oa, ob, ia, ib in product((0, 1), repeat=4):
+        full += unitary[2 * oa + ob, 2 * ia + ib] * embed(
+            n, {qa: np.outer(np.eye(2)[oa], np.eye(2)[ia]), qb: np.outer(np.eye(2)[ob], np.eye(2)[ib])}
+        )
+    return full
+
+
+KERNEL_ORACLE = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@st.composite
+def kernel_cases(draw, min_qubits=1):
+    """A random normalized state on 1..7 qubits, a qubit of it, and a measurement basis."""
+    n = draw(st.integers(min_qubits, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = random_state(rng, n)
+    qubit = draw(st.integers(1, n))
+    basis = draw(st.sampled_from((COMPUTATIONAL, PLUS_MINUS, Y_BASIS, None)))
+    if basis is None:  # a random orthonormal basis
+        rows = random_unitary(rng, 2)
+        basis = MeasurementBasis("random", tuple(tuple(complex(x) for x in row) for row in rows))
+    return rng, state, qubit, basis
+
+
+class TestKernelOracle:
+    """Every state kernel against a full Kronecker-product matrix, to 1e-12."""
+
+    @KERNEL_ORACLE
+    @given(kernel_cases())
+    def test_apply_gate(self, case):
+        rng, state, qubit, _ = case
+        gate = random_unitary(rng, 2)
+        expected = embed(state.num_qubits, {qubit: gate}) @ state.amplitudes
+        assert np.max(np.abs(apply_gate(state, gate, qubit).amplitudes - expected)) <= 1e-12
+
+    @KERNEL_ORACLE
+    @given(kernel_cases(min_qubits=2), st.data())
+    def test_apply_two_qubit_both_orders(self, case, data):
+        rng, state, qa, _ = case
+        qb = data.draw(st.integers(1, state.num_qubits).filter(lambda q: q != qa))
+        u = random_unitary(rng, 4)
+        for pair in ((qa, qb), (qb, qa)):
+            expected = embed_pair(state.num_qubits, u, *pair) @ state.amplitudes
+            got = apply_two_qubit(state, u, pair).amplitudes
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
+    @KERNEL_ORACLE
+    @given(kernel_cases(), st.data())
+    def test_basis_amplitudes(self, case, data):
+        _, state, _, basis = case
+        n = state.num_qubits
+        choices = (COMPUTATIONAL, PLUS_MINUS, Y_BASIS, basis, None)
+        bases = data.draw(st.lists(st.sampled_from(choices), max_size=n))
+        rotation = embed(n, {q + 1: b.matrix().conj() for q, b in enumerate(bases) if b is not None})
+        expected = (rotation @ state.amplitudes).reshape((2,) * n)
+        assert np.max(np.abs(basis_amplitudes(state, bases) - expected)) <= 1e-12
+
+    @KERNEL_ORACLE
+    @given(kernel_cases())
+    def test_collapse_and_both_measure_branches(self, case):
+        _, state, qubit, basis = case
+        n = state.num_qubits
+        p0 = measure(state, qubit, basis, 0.0)[0].probability
+        for result in (0, 1):
+            ket = basis.matrix()[result]
+            branch = embed(n, {qubit: np.outer(ket, ket.conj())}) @ state.amplitudes
+            prob = float(np.vdot(branch, branch).real)
+            expected = branch / np.sqrt(prob)
+            got_prob, got = collapse(state, qubit, basis, result)
+            assert abs(got_prob - prob) <= 1e-12
+            assert np.max(np.abs(got.amplitudes - expected)) <= 1e-12
+            # The draw rule: result 0 exactly when rand < p0.
+            for rand in ((np.nextafter(p0, 0.0),) if result == 0 else (p0, np.nextafter(p0, 1.0))):
+                outcome, post = measure(state, qubit, basis, float(rand))
+                assert outcome.result == result
+                assert outcome.qubit == qubit and outcome.basis == basis.name
+                assert abs(outcome.probability - prob) <= 1e-12
+                assert np.max(np.abs(post.amplitudes - expected)) <= 1e-12
+
+    @KERNEL_ORACLE
+    @given(kernel_cases(), st.sampled_from((1 - 1e-6, 1 + 1e-6)))
+    def test_unnormalized_state_rejected(self, case, scale):
+        _, state, qubit, basis = case
+        scaled = QuantumState(state.amplitudes * scale)
+        with pytest.raises(ValueError, match="normalized"):
+            measure(scaled, qubit, basis, 0.5)
 
 
 class TestFidelity:
