@@ -33,7 +33,6 @@ from .cavity import (
     effective_unitary,
     evolution_operator,
     full_hamiltonian,
-    timing_error_fidelity,
     validate_effective_model,
 )
 from .protocol import (
@@ -52,6 +51,7 @@ from .protocol import (
     run_rounds,
     run_session,
     security_check_round,
+    timing_error_fidelity,
 )
 from .qstate import (
     COMPUTATIONAL,

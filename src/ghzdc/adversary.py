@@ -56,6 +56,19 @@ from .qstate import (
 
 INTERCEPT_BASES = {"computational": COMPUTATIONAL, "x": PLUS_MINUS, "y": Y_BASIS}
 
+# One range rule per model parameter: (accepts the value, message otherwise).
+PARAM_CHECKS = {
+    "target_qubit": (lambda q: q in (2, 3), "intercept target must be qubit 2 or 3 (atoms in transit)"),
+    "basis": (lambda b: b in INTERCEPT_BASES, f"intercept basis must be one of {sorted(INTERCEPT_BASES)}"),
+    "theta": (lambda t: t is not None and 0.0 <= t <= math.pi / 2, "theta must lie in [0, pi/2]"),
+}
+
+
+def _check_param(name: str, value) -> None:
+    accepts, message = PARAM_CHECKS[name]
+    if not accepts(value):
+        raise ValueError(message)
+
 
 @dataclass(frozen=True)
 class AdversaryModel:
@@ -69,14 +82,8 @@ class AdversaryModel:
     def __post_init__(self):
         if self.kind not in STRATEGIES:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
-        if self.kind == "intercept_resend":
-            if self.target_qubit not in (2, 3):
-                raise ValueError("intercept target must be qubit 2 or 3 (atoms in transit)")
-            if self.basis not in INTERCEPT_BASES:
-                raise ValueError(f"intercept basis must be one of {sorted(INTERCEPT_BASES)}")
-        if self.kind == "ancilla_attack":
-            if self.theta is None or not 0.0 <= self.theta <= math.pi / 2:
-                raise ValueError("theta must lie in [0, pi/2]")
+        for name in STRATEGIES[self.kind].params:
+            _check_param(name, getattr(self, name))
 
     @classmethod
     def honest(cls):
@@ -194,21 +201,19 @@ def check_violation_rate(state: QuantumState, n_parties: int = 3) -> float:
     return total
 
 
-def intercept_resend_detection(target_qubit: int, basis) -> Fraction:
+def intercept_resend_detection(target_qubit: int, basis: str) -> Fraction:
     """Exact detection probability per check round for an intercept-resend attack.
 
     The attacked resource is the ensemble of post-measurement states the
     eavesdropper forwards; every branch probability here is an exact dyadic
     rational, recovered from the enumeration by snapping.
     """
-    if isinstance(basis, str):
-        basis = INTERCEPT_BASES[basis]
-    if target_qubit not in (2, 3):
-        raise ValueError("intercept target must be qubit 2 or 3")
+    _check_param("target_qubit", target_qubit)
+    _check_param("basis", basis)
     ghz = prepare_ghz()
     total = Fraction(0)
     for result in (0, 1):
-        prob, resent = collapse(ghz, target_qubit, basis, result)
+        prob, resent = collapse(ghz, target_qubit, INTERCEPT_BASES[basis], result)
         total += _snap(prob) * _snap(check_violation_rate(resent))
     return total
 
@@ -286,8 +291,7 @@ def ancilla_attack_tradeoff(theta: float, grid: tuple[int, int] = (31, 61)) -> A
     every message and captures what the eavesdropper learns about the
     parties' measurement records.
     """
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError("theta must lie in [0, pi/2]")
+    _check_param("theta", theta)
     attacked = attach_ancilla(prepare_ghz(), theta)
     error = check_violation_rate(attacked, n_parties=3)
 
@@ -304,8 +308,19 @@ def ancilla_attack_tradeoff(theta: float, grid: tuple[int, int] = (31, 61)) -> A
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, kw_only=True)
+class Strategy:
+    """What every adversary kind declares: its CLI ``--model`` flag, the
+    ``AdversaryModel`` fields it takes (each checked by ``PARAM_CHECKS``),
+    and ``report(model)``, the extra fields of its result row."""
+
+    flag: str
+    params: tuple[str, ...] = ()
+    report: Callable[[AdversaryModel], dict] = lambda model: {}
+
+
 @dataclass(frozen=True)
-class MessageStrategy:
+class MessageStrategy(Strategy):
     """An adversary acting on message rounds.
 
     ``outcomes(op, key)`` lists the equally likely results (True for a hit)
@@ -333,7 +348,7 @@ class MessageStrategy:
 
 
 @dataclass(frozen=True)
-class CheckAttack:
+class CheckAttack(Strategy):
     """An eavesdropper acting on check rounds: sampled attacked state and exact detection rate."""
 
     attacked_state: Callable[[AdversaryModel, np.random.Generator], QuantumState]
@@ -344,7 +359,7 @@ class CheckAttack:
         return random_check_round(self.attacked_state(model, rng), rng).violation
 
 
-def _report_cheat(field: str, exclude_truth: bool) -> MessageStrategy:
+def _report_cheat(flag: str, field: str, exclude_truth: bool) -> MessageStrategy:
     """A party replaces its ``field`` of the decode key by a uniformly random
     report (lies) or a uniformly random false one (flips); a hit is a wrong decode."""
     alphabet = PAIRS if field == "pair" else SIGNS
@@ -357,10 +372,10 @@ def _report_cheat(field: str, exclude_truth: bool) -> MessageStrategy:
             if not (exclude_truth and report == truth)
         )
 
-    return MessageStrategy(outcomes)
+    return MessageStrategy(outcomes, flag=flag)
 
 
-def _solo_guess(field: str) -> MessageStrategy:
+def _solo_guess(flag: str, field: str) -> MessageStrategy:
     """Guess the message from ``field`` of the decode key alone: the
     maximum-a-posteriori operation, ties going to the lowest bits."""
 
@@ -372,18 +387,21 @@ def _solo_guess(field: str) -> MessageStrategy:
                 weights[op] += p
         return max(weights, key=weights.__getitem__)
 
-    return MessageStrategy(lambda op, key: (guess(getattr(key, field)) == op,))
+    return MessageStrategy(lambda op, key: (guess(getattr(key, field)) == op,), flag=flag)
 
 
 CHEATS = {
-    "honest": MessageStrategy(lambda op, key: (decode(key) != op,)),
-    "charlie_lies": _report_cheat("sign", exclude_truth=False),
-    "bob_lies": _report_cheat("pair", exclude_truth=False),
-    "charlie_flips": _report_cheat("sign", exclude_truth=True),
-    "bob_flips": _report_cheat("pair", exclude_truth=True),
+    "honest": MessageStrategy(lambda op, key: (decode(key) != op,), flag="honest"),
+    "charlie_lies": _report_cheat("charlie-lies", "sign", exclude_truth=False),
+    "bob_lies": _report_cheat("bob-lies", "pair", exclude_truth=False),
+    "charlie_flips": _report_cheat("charlie-flips", "sign", exclude_truth=True),
+    "bob_flips": _report_cheat("bob-flips", "pair", exclude_truth=True),
 }
 
-SOLO_GUESSES = {Role.BOB: _solo_guess("pair"), Role.CHARLIE: _solo_guess("sign")}
+SOLO_GUESSES = {
+    Role.BOB: _solo_guess("bob-guess", "pair"),
+    Role.CHARLIE: _solo_guess("charlie-guess", "sign"),
+}
 
 STRATEGIES: dict[str, MessageStrategy | CheckAttack] = {
     **CHEATS,
@@ -394,10 +412,18 @@ STRATEGIES: dict[str, MessageStrategy | CheckAttack] = {
             prepare_ghz(), model.target_qubit, INTERCEPT_BASES[model.basis], rng.random()
         )[1],
         exact=lambda model: intercept_resend_detection(model.target_qubit, model.basis),
+        flag="intercept-resend",
+        params=("target_qubit", "basis"),
     ),
     "ancilla_attack": CheckAttack(
+        # The analytic value needs no information grid; ``report`` computes it once.
         attacked_state=lambda model, rng: attach_ancilla(prepare_ghz(), model.theta),
-        exact=lambda model: ancilla_attack_tradeoff(model.theta).error_rate,
+        exact=lambda model: check_violation_rate(attach_ancilla(prepare_ghz(), model.theta)),
+        flag="ancilla",
+        params=("theta",),
+        report=lambda model: {
+            "information_bits": ancilla_attack_tradeoff(model.theta).information_bits
+        },
     ),
 }
 

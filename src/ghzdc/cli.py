@@ -21,27 +21,21 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .adversary import AdversaryModel, ancilla_attack_tradeoff, monte_carlo_confirm
-from .cavity import CANONICAL_PULSE, PulseParams, effective_model_sweep, timing_error_fidelity
-from .protocol import Role, SessionConfig, decode_table, run_rounds
+from .adversary import STRATEGIES, AdversaryModel, monte_carlo_confirm
+from .cavity import CANONICAL_PULSE, PulseParams, effective_model_sweep
+from .protocol import Role, SessionConfig, decode_table, run_rounds, timing_error_fidelity
 
 SCHEMA_VERSION = 1
 
-MODEL_FLAGS = {
-    "honest": "honest",
-    "bob-guess": "bob_alone_guess",
-    "charlie-guess": "charlie_alone_guess",
-    "bob-lies": "bob_lies",
-    "charlie-lies": "charlie_lies",
-    "bob-flips": "bob_flips",
-    "charlie-flips": "charlie_flips",
-    "intercept-resend": "intercept_resend",
-    "ancilla": "ancilla_attack",
-}
+# --model flag -> adversary kind.
+MODEL_FLAGS = {strategy.flag: kind for kind, strategy in STRATEGIES.items()}
+# Config key of each AdversaryModel field, where the two names differ.
+_MODEL_FIELD_KEYS = {"basis": "intercept_basis"}
 
 
 def _positive_int(text: str) -> int:
@@ -206,16 +200,10 @@ def _run_session(cfg: dict) -> tuple[dict, list[dict], list[str]]:
 
 def _run_adversary(cfg: dict) -> tuple[dict, list[dict], list[str]]:
     kind = MODEL_FLAGS[cfg["model"]]
-    if kind == "intercept_resend":
-        model = AdversaryModel.intercept_resend(cfg["target_qubit"], cfg["intercept_basis"])
-    elif kind == "ancilla_attack":
-        model = AdversaryModel.ancilla_attack(cfg["theta"])
-    else:
-        model = AdversaryModel(kind)
+    strategy = STRATEGIES[kind]
+    model = AdversaryModel(kind, **{f: cfg[_MODEL_FIELD_KEYS.get(f, f)] for f in strategy.params})
     report = monte_carlo_confirm(model, cfg["rounds"], cfg["seed"])
-    row = report.to_json_dict()
-    if kind == "ancilla_attack":
-        row["information_bits"] = ancilla_attack_tradeoff(cfg["theta"]).information_bits
+    row = report.to_json_dict() | strategy.report(model)
     notes = [
         f"model={model.kind} analytic={report.analytic_success:.6f} "
         f"empirical={report.empirical_success:.6f} se={report.std_error:.6f}"
@@ -229,15 +217,7 @@ def _run_physics_sweep(cfg: dict) -> tuple[dict, list[dict], list[str]]:
     points = effective_model_sweep(
         cfg["delta_over_g"], cfg["omega_over_delta"], cfg["n_max"], pulse, cfg["cavity_fock"]
     )
-    rows = [
-        {
-            "delta_over_g": pt.delta_over_g,
-            "omega_over_delta": pt.omega_over_delta,
-            "n_max": pt.n_max,
-            "error": pt.error,
-        }
-        for pt in points
-    ]
+    rows = [asdict(pt) for pt in points]
     echo = _config_echo(
         cfg, ("delta_over_g", "omega_over_delta", "n_max", "lambda_t", "cavity_fock")
     )

@@ -38,6 +38,7 @@ from .qstate import (
     QuantumState,
     apply_gate,
     apply_two_qubit,
+    fidelity,
     measure,
 )
 
@@ -110,6 +111,20 @@ def bob_interaction(
     if state.num_qubits < 3:
         raise ValueError("interaction expects the receiver pair plus at least one more share")
     return apply_two_qubit(state, effective_unitary(pulse), qubits)
+
+
+def timing_error_fidelity(epsilon: float) -> float:
+    """Worst-case decoding fidelity when the coupling angle is off by a factor 1+epsilon.
+
+    The drive angle stays at pi (it is set by the field, not the transit
+    time); only the coupling angle scales.  Returns the minimum squared
+    overlap with the ideal output over the four encoded inputs.
+    """
+    if not abs(epsilon) < 1.0:  # also rejects nan
+        raise ValueError(f"epsilon must be finite with |epsilon| < 1, got {epsilon!r}")
+    perturbed = PulseParams(lambda_t=(1.0 + epsilon) * np.pi / 4, omega_t=np.pi)
+    encoded = (encode(prepare_ghz(), op) for op in EncodingOp)
+    return min(fidelity(bob_interaction(s), bob_interaction(s, perturbed)) for s in encoded)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 I_SIGMA_Y = np.array([[0, 1], [-1, 0]], dtype=complex)
 
 
+def _basis_index(label: str) -> int:
+    """Amplitude index of an 'e'/'g' label, qubit 1 most significant and |e> -> 0."""
+    if not label or set(label) - {"e", "g"}:
+        raise ValueError(f"basis label must use only 'e' and 'g', got {label!r}")
+    return int(label.replace("e", "0").replace("g", "1"), 2)
+
+
 class QuantumState:
     """Immutable normalized amplitude vector over an ordered qubit register."""
 
@@ -73,26 +80,15 @@ class QuantumState:
     @classmethod
     def basis_state(cls, label: str) -> "QuantumState":
         """Computational basis state from a string of 'e'/'g' characters, qubit 1 first."""
-        bits = []
-        for ch in label:
-            if ch not in "eg":
-                raise ValueError(f"basis label must use only 'e' and 'g', got {label!r}")
-            bits.append(0 if ch == "e" else 1)
-        index = 0
-        for b in bits:
-            index = (index << 1) | b
-        amps = np.zeros(2 ** len(bits), dtype=complex)
-        amps[index] = 1.0
+        amps = np.zeros(2 ** len(label), dtype=complex)
+        amps[_basis_index(label)] = 1.0
         return cls(amps)
 
     def amplitude(self, label: str) -> complex:
         """Amplitude of the given computational basis string."""
         if len(label) != self.num_qubits:
             raise ValueError(f"label {label!r} does not match {self.num_qubits} qubits")
-        index = 0
-        for ch in label:
-            index = (index << 1) | (0 if ch == "e" else 1)
-        return complex(self._amps[index])
+        return complex(self._amps[_basis_index(label)])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self._amps))

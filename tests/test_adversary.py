@@ -116,6 +116,11 @@ class TestInterceptResend:
         for basis in ("computational", "x", "y"):
             assert intercept_resend_detection(2, basis) > 0
 
+    @pytest.mark.parametrize("target, basis", [(2, "hadamard"), (1, "computational")])
+    def test_bad_arguments_raise_value_error(self, target, basis):
+        with pytest.raises(ValueError):
+            intercept_resend_detection(target, basis)
+
     def test_share_exchange_symmetry(self):
         for basis in ("computational", "x", "y"):
             assert intercept_resend_detection(2, basis) == intercept_resend_detection(3, basis)

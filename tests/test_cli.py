@@ -96,6 +96,31 @@ class TestAdversary:
         assert 0.0 < report["information_bits"] < 1.0
         assert report["theta"] == pytest.approx(0.785398)
 
+    @pytest.mark.parametrize(
+        "flag, kind",
+        [
+            ("honest", "honest"),
+            ("bob-guess", "bob_alone_guess"),
+            ("charlie-guess", "charlie_alone_guess"),
+            ("bob-lies", "bob_lies"),
+            ("charlie-lies", "charlie_lies"),
+            ("bob-flips", "bob_flips"),
+            ("charlie-flips", "charlie_flips"),
+            ("intercept-resend", "intercept_resend"),
+            ("ancilla", "ancilla_attack"),
+        ],
+    )
+    def test_every_model_flag_reports_its_fields(self, flag, kind, capsys):
+        code, out, _ = run_cli(["adversary", "--model", flag, "--rounds", "100"], capsys)
+        assert code == 0
+        row = data_lines(out)[1]
+        assert row["model"] == kind
+        intercept = flag == "intercept-resend"
+        assert (row["target_qubit"] is not None) == intercept
+        assert (row["basis"] is not None) == intercept
+        assert (row["theta"] is not None) == (flag == "ancilla")
+        assert ("information_bits" in row) == (flag == "ancilla")
+
 
 class TestSweeps:
     def test_physics_sweep_csv_columns(self, capsys):

@@ -59,6 +59,18 @@ class TestQuantumState:
         s = QuantumState.basis_state("egg")
         assert s.amplitudes[0b011] == 1.0  # qubit 1 is the most significant bit
 
+    def test_amplitude_indexes_valid_labels(self):
+        s = QuantumState.basis_state("eeg")
+        assert s.amplitude("eeg") == 1.0
+        assert s.amplitude("gee") == 0.0
+        assert ghz_state().amplitude("eee") == SQ2
+        assert ghz_state().amplitude("ggg") == 1j * SQ2
+
+    @pytest.mark.parametrize("label", ["eex", "EEG", "e g"])
+    def test_amplitude_rejects_other_characters(self, label):
+        with pytest.raises(ValueError):
+            QuantumState.basis_state("eeg").amplitude(label)
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             QuantumState([1.0, 0.0, 0.0])

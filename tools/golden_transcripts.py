@@ -53,6 +53,11 @@ def invocations() -> dict[str, list[str]]:
             "adversary", "--model", "ancilla", "--theta", theta,
             "--rounds", ADVERSARY_ROUNDS, "--seed", "1",
         ]
+    # The report's extra column must stay last in CSV output.
+    runs["adversary-ancilla-0.3.csv"] = [
+        "adversary", "--model", "ancilla", "--theta", "0.3", "--rounds", ADVERSARY_ROUNDS,
+        "--seed", "1", "--format", "csv",
+    ]
     for fock, name in ((0, "physics-sweep.csv"), (1, "physics-sweep-fock1.csv")):
         runs[name] = [
             "physics-sweep", "--delta-over-g", "10,20,40", "--omega-over-delta", "20",
