@@ -175,6 +175,29 @@ class TestEffectiveUnitary:
                 if row not in (col, partner):
                     assert mags[row, col] < 1e-12
 
+    def test_closed_form_equals_column_loop(self):
+        """The kron(R, R) form is bit-identical to building each input column |ab> in turn."""
+
+        def column_loop(pulse):
+            c, s = np.cos(pulse.omega_t), np.sin(pulse.omega_t)
+            rot = np.array([[c, -1j * s], [-1j * s, c]])
+            cos_l, sin_l = np.cos(pulse.lambda_t), np.sin(pulse.lambda_t)
+            prefactor = np.exp(-1j * pulse.lambda_t)
+            out = np.zeros((4, 4), dtype=complex)
+            for a in (0, 1):
+                for b in (0, 1):
+                    direct = np.kron(rot[:, a], rot[:, b])
+                    flipped = np.kron(rot[:, a ^ 1], rot[:, b ^ 1])
+                    out[:, 2 * a + b] = prefactor * (cos_l * direct - 1j * sin_l * flipped)
+            return out
+
+        grid = np.linspace(0, 2 * np.pi, 31)
+        pulses = [CANONICAL_PULSE] + [PulseParams(lt, ot) for lt in grid for ot in grid]
+        for pulse in pulses:
+            u = effective_unitary(pulse)
+            assert not u.flags.writeable
+            assert np.array_equal(u, column_loop(pulse))
+
 
 class TestGenerators:
     def test_effective_hamiltonian_hermitian(self):
@@ -368,6 +391,55 @@ class TestValidateEffectiveModel:
         assert [pt.delta_over_g for pt in points] == [10.0, 20.0]
         assert all(pt.n_max == 6 and pt.omega_over_delta == 20.0 for pt in points)
         assert all(0.0 <= pt.error <= 1.0 for pt in points)
+
+
+OFF_RESONANT = CavityParams(g=0.7, delta=3.0, omega_rabi=11.0, omega0=5.0, omega_a=2.0,
+                            omega_drive=4.5)
+
+
+class TestExchangeSplit:
+    """The singlet (|eg> - |ge>)/sqrt(2) is dark, so the full model splits by atom exchange."""
+
+    @staticmethod
+    def exchange_rotated(h, levels):
+        """The generator in the pair basis (ee, T0, S, gg), by elementwise row and column sums."""
+        s = np.sqrt(0.5)
+        h4 = h.reshape(4, levels, 4, levels)
+        rows = np.stack([h4[0], (h4[1] + h4[2]) * s, (h4[1] - h4[2]) * s, h4[3]])
+        both = np.stack([rows[:, :, 0], (rows[:, :, 1] + rows[:, :, 2]) * s,
+                         (rows[:, :, 1] - rows[:, :, 2]) * s, rows[:, :, 3]], axis=2)
+        return both.reshape(4 * levels, 4 * levels)
+
+    @pytest.mark.parametrize("params", [params_for(), OFF_RESONANT])
+    @pytest.mark.parametrize("n_max", [1, 8])
+    def test_singlet_couples_to_nothing(self, params, n_max):
+        levels = n_max + 1
+        rotated = self.exchange_rotated(full_hamiltonian(params, FockSpace(n_max)), levels)
+        singlet = np.arange(2 * levels, 3 * levels)
+        energies = rotated[singlet, singlet].copy()
+        rotated[singlet, singlet] = 0.0
+        assert not rotated[singlet].any()
+        assert not rotated[:, singlet].any()
+        expected = (params.omega_a - params.omega_drive) * np.arange(levels)
+        np.testing.assert_allclose(energies, expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("params", [params_for(), OFF_RESONANT])
+    @pytest.mark.parametrize("n_max", [1, 6])
+    @pytest.mark.parametrize("initial_cavity,duration", [
+        (0, None), (1, None), ([0.6, 0.4], None), (0, 2.5),
+    ])
+    def test_matches_dense_expm_oracle(self, params, n_max, initial_cavity, duration):
+        fock = FockSpace(n_max)
+        weights = np.zeros(fock.levels)
+        if isinstance(initial_cavity, int):
+            weights[initial_cavity] = 1.0
+        else:
+            weights[: len(initial_cavity)] = initial_cavity
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)  # n_max 1 is meant to truncate
+            err = validate_effective_model(params, fock, CANONICAL_PULSE, initial_cavity, duration)
+        expected = dense_expm_validation(params, fock, CANONICAL_PULSE, weights, duration)
+        assert abs(err - expected) < 1e-10
 
 
 class TestTimingErrorFidelity:
