@@ -10,17 +10,8 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
 
 __version__ = "0.1.0"
 
-from .adversary import (
-    AdversaryModel,
-    AncillaTradeoff,
-    CheatReport,
-    ancilla_attack_tradeoff,
-    cheat_success,
-    check_violation_rate,
-    intercept_resend_detection,
-    monte_carlo_confirm,
-    solo_guess_probability,
-)
+# cavity loads first: it re-exports protocol's timing_error_fidelity, and
+# protocol imports cavity (see the end of cavity.py).
 from .cavity import (
     CANONICAL_PULSE,
     CavityParams,
@@ -34,6 +25,17 @@ from .cavity import (
     evolution_operator,
     full_hamiltonian,
     validate_effective_model,
+)
+from .adversary import (
+    AdversaryModel,
+    AncillaTradeoff,
+    CheatReport,
+    ancilla_attack_tradeoff,
+    cheat_success,
+    check_violation_rate,
+    intercept_resend_detection,
+    monte_carlo_confirm,
+    solo_guess_probability,
 )
 from .protocol import (
     DecodeKey,

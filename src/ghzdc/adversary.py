@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from .cavity import CANONICAL_PULSE, PulseParams
 from .protocol import (
     CHECK_BASES,
     PAIRS,
@@ -122,19 +121,17 @@ class AdversaryModel:
         return cls("ancilla_attack", theta=theta)
 
 
-def _snap(p: float, max_denominator: int = 4096, tol: float = 1e-12) -> Fraction:
+def _snap(p: float) -> Fraction:
     """Recover the exact rational a Born-rule enumeration converged to."""
-    frac = Fraction(p).limit_denominator(max_denominator)
-    if abs(float(frac) - p) > tol:
+    frac = Fraction(p).limit_denominator(4096)
+    if abs(float(frac) - p) > 1e-12:
         raise ValueError(f"probability {p!r} is not rational within tolerance")
     return frac
 
 
-def decode_distribution(
-    op: EncodingOp, pulse: PulseParams = CANONICAL_PULSE
-) -> dict[DecodeKey, Fraction]:
+def decode_distribution(op: EncodingOp) -> dict[DecodeKey, Fraction]:
     """Exact joint outcome distribution of one message round, by enumeration."""
-    state = _honest_post_state(2, op, pulse, 2)
+    state = _honest_post_state(2, op, 2)
     probs = outcome_distribution(state, (COMPUTATIONAL, COMPUTATIONAL, PLUS_MINUS))
     return {
         DecodeKey("eg"[b1] + "eg"[b2], SIGNS[s]): _snap(float(p))
@@ -181,14 +178,14 @@ def cheat_success(model: AdversaryModel) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def check_violation_rate(state: QuantumState, n_parties: int = 3) -> float:
+def check_violation_rate(state: QuantumState) -> float:
     """Per-check-round probability of landing in the accept set with bad parity.
 
-    Parties choose bases independently and uniformly; qubits beyond
-    ``n_parties`` (an ancilla) are traced out by the enumeration.
+    The three parties choose bases independently and uniformly; qubits
+    beyond the third (an ancilla) are traced out by the enumeration.
     """
-    accept = parity_accept_set(n_parties)
-    combo_weight = 1.0 / 2**n_parties
+    accept = parity_accept_set(3)
+    combo_weight = 1.0 / 2**3
     total = 0.0
     for combo, expected in accept.items():
         probs = outcome_distribution(state, [CHECK_BASES[label] for label in combo])
@@ -226,14 +223,12 @@ def _controlled_rotation(theta: float) -> np.ndarray:
     return u
 
 
-def attach_ancilla(state: QuantumState, theta: float, target_qubit: int = 2) -> QuantumState:
-    """Append a fresh ancilla (as the last qubit) entangled with the target share."""
+def attach_ancilla(state: QuantumState, theta: float) -> QuantumState:
+    """Append a fresh ancilla (as the last qubit) entangled with the second share (qubit 2)."""
     amps = np.zeros(2 * state.amplitudes.size, dtype=complex)
     amps[0::2] = state.amplitudes  # ancilla starts in |e>
     attacked = QuantumState(amps)
-    return apply_two_qubit(
-        attacked, _controlled_rotation(theta), (target_qubit, attacked.num_qubits)
-    )
+    return apply_two_qubit(attacked, _controlled_rotation(theta), (2, attacked.num_qubits))
 
 
 def _grid_normals(polar_n: int, azimuth_n: int) -> np.ndarray:
@@ -280,26 +275,26 @@ class AncillaTradeoff:
     information_bits: float
 
 
-def ancilla_attack_tradeoff(theta: float, grid: tuple[int, int] = (31, 61)) -> AncillaTradeoff:
+def ancilla_attack_tradeoff(theta: float) -> AncillaTradeoff:
     """Detection-vs-leakage point of the controlled-rotation attack family.
 
     ``error_rate`` is the security-check violation rate on the attacked
     state.  ``information_bits`` is the mutual information between the best
-    projective ancilla measurement (maximized over a polar-azimuth grid of
-    the given resolution) and the decode key of a message round; the
-    encoding is held fixed, which by symmetry gives the same value for
-    every message and captures what the eavesdropper learns about the
-    parties' measurement records.
+    projective ancilla measurement (maximized over a 31 x 61 polar-azimuth
+    grid) and the decode key of a message round; the encoding is held
+    fixed, which by symmetry gives the same value for every message and
+    captures what the eavesdropper learns about the parties' measurement
+    records.
     """
     _check_param("theta", theta)
     attacked = attach_ancilla(prepare_ghz(), theta)
-    error = check_violation_rate(attacked, n_parties=3)
+    error = check_violation_rate(attacked)
 
-    evolved = bob_interaction(attacked, CANONICAL_PULSE)
+    evolved = bob_interaction(attacked)
     rotated = basis_amplitudes(evolved, (None, None, PLUS_MINUS))  # (q1, q2, sign, anc)
     # Sub-normalized ancilla density matrix per decode key, keys in (q1, q2, sign) order.
     rhos = (rotated[..., :, None] * rotated[..., None, :].conj()).reshape(8, 2, 2)
-    best = _best_grid_information(rhos, _grid_normals(*grid))
+    best = _best_grid_information(rhos, _grid_normals(31, 61))
     return AncillaTradeoff(theta=theta, error_rate=error, information_bits=best)
 
 
@@ -342,7 +337,7 @@ class MessageStrategy(Strategy):
     def sample(self, model: AdversaryModel, rng: np.random.Generator) -> bool:
         """One message round with a uniformly random message; True on a hit."""
         op = EncodingOp(int(rng.integers(4)))
-        pair, signs = measure_decode(_honest_post_state(2, op, CANONICAL_PULSE, 2), rng)
+        pair, signs = measure_decode(_honest_post_state(2, op, 2), rng)
         results = self.outcomes(op, DecodeKey(pair, signs[0]))
         return results[int(rng.integers(len(results)))]
 

@@ -95,12 +95,9 @@ class CavityParams:
         """Effective atom-atom coupling rate g^2 / (2 delta)."""
         return self.g * self.g / (2.0 * self.delta)
 
-    def regime_ok(self, drive_factor: float = 10.0, detuning_factor: float = 10.0) -> bool:
-        """Whether the strong-driving and dispersive conditions both hold."""
-        return (
-            self.omega_rabi >= drive_factor * self.delta
-            and self.delta >= detuning_factor * self.g
-        )
+    def regime_ok(self) -> bool:
+        """Whether the strong-driving (Omega >= 10 delta) and dispersive (delta >= 10 g) conditions hold."""
+        return self.omega_rabi >= 10.0 * self.delta and self.delta >= 10.0 * self.g
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .adversary import STRATEGIES, AdversaryModel, monte_carlo_confirm
+from .adversary import INTERCEPT_BASES, STRATEGIES, AdversaryModel, monte_carlo_confirm
 from .cavity import CANONICAL_PULSE, PulseParams, effective_model_sweep
 from .protocol import Role, SessionConfig, decode_table, run_rounds, timing_error_fidelity
 
@@ -64,88 +64,84 @@ def _epsilon_grid(text: str) -> list[float]:
     return _float_list(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ghzdc", description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with defaults (GHZDC_CONFIG also honored)")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", default=None, help="output path, '-' for stdout")
-    common.add_argument("--format", choices=("json", "csv"), default=None)
-
-    p = sub.add_parser("session", parents=[common], help="run protocol rounds")
-    p.add_argument("--rounds", type=_positive_int, default=None)
-    p.add_argument("--p-check", type=_probability, default=None)
-    p.add_argument("--n-users", type=int, default=None)
-    p.add_argument("--message", type=int, choices=range(4), default=None,
-                   help="fix the 2-bit message; random per round when absent")
-    p.add_argument("--receiver", choices=("bob", "charlie"), default=None)
-
-    p = sub.add_parser("adversary", parents=[common], help="adversary experiment")
-    p.add_argument("--model", choices=sorted(MODEL_FLAGS), default=None)
-    p.add_argument("--rounds", type=_positive_int, default=None)
-    p.add_argument("--target-qubit", type=int, choices=(2, 3), default=None)
-    p.add_argument("--intercept-basis", choices=("computational", "x", "y"), default=None)
-    p.add_argument("--theta", type=float, default=None)
-
-    p = sub.add_parser("physics-sweep", parents=[common],
-                       help="full-vs-effective model validation sweep")
-    p.add_argument("--delta-over-g", type=_float_list, default=None)
-    p.add_argument("--omega-over-delta", type=float, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--lambda-t", type=float, default=None)
-    p.add_argument("--cavity-fock", type=int, default=None)
-
-    p = sub.add_parser("timing-sweep", parents=[common],
-                       help="decoding fidelity under interaction-time error")
-    p.add_argument("--epsilon-grid", type=_epsilon_grid, default=None)
-
-    p = sub.add_parser("decode-table", parents=[common], help="print the decoding map")
-    p.add_argument("--n-users", type=int, default=None)
-    return parser
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
+    return value
 
 
-DEFAULTS = {
-    "seed": 0,
-    "out": "-",
-    "format": "json",
-    "rounds": 1000,
-    "p_check": 0.1,
-    "n_users": 2,
-    "message": None,
-    "receiver": "bob",
-    "model": "honest",
-    "target_qubit": 2,
-    "intercept_basis": "computational",
-    "theta": math.pi / 4,
-    "delta_over_g": [10.0, 20.0, 40.0],
-    "omega_over_delta": 20.0,
-    "n_max": 8,
-    "lambda_t": math.pi / 4,
-    "cavity_fock": 0,
-    "epsilon_grid": list(np.linspace(-0.05, 0.05, 21)),
+# Config key (the flag name with '-' as '_') -> (default, add_argument options).
+FLAGS = {
+    "seed": (0, {"type": int}),
+    "out": ("-", {"help": "output path, '-' for stdout"}),
+    "format": ("json", {"choices": ("json", "csv")}),
+    "rounds": (1000, {"type": _positive_int}),
+    "p_check": (0.1, {"type": _probability}),
+    "n_users": (2, {"type": int}),
+    "message": (None, {"type": int, "choices": range(4),
+                       "help": "fix the 2-bit message; random per round when absent"}),
+    "receiver": ("bob", {"choices": ("bob", "charlie")}),
+    "model": ("honest", {"choices": sorted(MODEL_FLAGS)}),
+    "target_qubit": (2, {"type": int, "choices": (2, 3)}),
+    "intercept_basis": ("computational", {"choices": sorted(INTERCEPT_BASES)}),
+    "theta": (math.pi / 4, {"type": _finite_float}),
+    "delta_over_g": ([10.0, 20.0, 40.0], {"type": _float_list}),
+    "omega_over_delta": (20.0, {"type": float}),
+    "n_max": (8, {"type": int}),
+    "lambda_t": (math.pi / 4, {"type": float}),
+    "cavity_fock": (0, {"type": int}),
+    "epsilon_grid": (list(np.linspace(-0.05, 0.05, 21)), {"type": _epsilon_grid}),
+}
+
+# Flags every subcommand takes, echoed only where COMMANDS lists them.
+COMMON = ("seed", "out", "format")
+
+# Subcommand -> (help, the config keys its data section echoes); it takes COMMON plus these.
+COMMANDS = {
+    "session": ("run protocol rounds",
+                ("seed", "rounds", "p_check", "n_users", "message", "receiver")),
+    "adversary": ("adversary experiment",
+                  ("seed", "rounds", "model", "target_qubit", "intercept_basis", "theta")),
+    "physics-sweep": ("full-vs-effective model validation sweep",
+                      ("delta_over_g", "omega_over_delta", "n_max", "lambda_t", "cavity_fock")),
+    "timing-sweep": ("decoding fidelity under interaction-time error", ("epsilon_grid",)),
+    "decode-table": ("print the decoding map", ("n_users",)),
 }
 
 
-def _file_value(key: str, raw, action: argparse.Action):
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="ghzdc", description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, echoed) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON file with defaults (GHZDC_CONFIG also honored)")
+        for key in dict.fromkeys((*COMMON, *echoed)):
+            p.add_argument("--" + key.replace("_", "-"), default=None, **FLAGS[key][1])
+    return parser
+
+
+def _file_value(key: str, raw):
     """Parse a config-file value as its flag parses the same command-line text.
 
     Text flags take a JSON string; the others a JSON number, or a list for list flags.
     """
-    if isinstance(raw, str) != (action.type is None):
+    options = FLAGS[key][1]
+    parse = options.get("type")
+    if isinstance(raw, str) != (parse is None):
         raise ValueError(f"config key {key!r}: {raw!r} has the wrong JSON type")
     text = ",".join(map(str, raw)) if isinstance(raw, list) else str(raw)
     try:
-        value = text if action.type is None else action.type(text)
+        value = text if parse is None else parse(text)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"config key {key!r}: {raw!r}: {exc}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"config key {key!r}: {raw!r} is not one of {list(action.choices)}")
+    choices = options.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"config key {key!r}: {raw!r} is not one of {list(choices)}")
     return value
 
 
-def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def resolve_config(args: argparse.Namespace) -> dict:
     """Layer defaults < config file < explicit flags."""
     path = args.config or os.environ.get("GHZDC_CONFIG")
     file_values = {}
@@ -154,30 +150,20 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
-    # Every subcommand's flags by destination: the flag name with '-' as '_'.
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    actions = {a.dest: a for p in subparsers.choices.values() for a in p._actions}
-    resolved = dict(DEFAULTS)
+    resolved = {key: default for key, (default, _) in FLAGS.items()}
     for key, raw in file_values.items():
-        if key not in DEFAULTS:
+        if key not in FLAGS:
             raise ValueError(f"unknown config key {key!r} (keys are flag names with '-' as '_')")
         if raw is not None:
-            resolved[key] = _file_value(key, raw, actions[key])
-    for key in DEFAULTS:
+            resolved[key] = _file_value(key, raw)
+    for key in FLAGS:
         if getattr(args, key, None) is not None:
             resolved[key] = getattr(args, key)
     resolved["command"] = args.command
     return resolved
 
 
-def _config_echo(cfg: dict, keys) -> dict:
-    echo = {k: cfg[k] for k in keys}
-    echo["command"] = cfg["command"]
-    echo["schema_version"] = SCHEMA_VERSION
-    return echo
-
-
-def _run_session(cfg: dict) -> tuple[dict, list[dict], list[str]]:
+def _run_session(cfg: dict) -> tuple[list[dict], list[str]]:
     session = SessionConfig(
         rng_seed=cfg["seed"],
         p_check=cfg["p_check"],
@@ -194,11 +180,10 @@ def _run_session(cfg: dict) -> tuple[dict, list[dict], list[str]]:
         f"decode_accuracy={correct / len(encode_rows) if encode_rows else float('nan'):.6f} "
         f"check_violations={violations}"
     ]
-    echo = _config_echo(cfg, ("seed", "rounds", "p_check", "n_users", "message", "receiver"))
-    return echo, rows, notes
+    return rows, notes
 
 
-def _run_adversary(cfg: dict) -> tuple[dict, list[dict], list[str]]:
+def _run_adversary(cfg: dict) -> tuple[list[dict], list[str]]:
     kind = MODEL_FLAGS[cfg["model"]]
     strategy = STRATEGIES[kind]
     model = AdversaryModel(kind, **{f: cfg[_MODEL_FIELD_KEYS.get(f, f)] for f in strategy.params})
@@ -208,32 +193,27 @@ def _run_adversary(cfg: dict) -> tuple[dict, list[dict], list[str]]:
         f"model={model.kind} analytic={report.analytic_success:.6f} "
         f"empirical={report.empirical_success:.6f} se={report.std_error:.6f}"
     ]
-    echo = _config_echo(cfg, ("seed", "rounds", "model", "target_qubit", "intercept_basis", "theta"))
-    return echo, [row], notes
+    return [row], notes
 
 
-def _run_physics_sweep(cfg: dict) -> tuple[dict, list[dict], list[str]]:
+def _run_physics_sweep(cfg: dict) -> tuple[list[dict], list[str]]:
     pulse = PulseParams(lambda_t=cfg["lambda_t"], omega_t=CANONICAL_PULSE.omega_t)
     points = effective_model_sweep(
         cfg["delta_over_g"], cfg["omega_over_delta"], cfg["n_max"], pulse, cfg["cavity_fock"]
     )
     rows = [asdict(pt) for pt in points]
-    echo = _config_echo(
-        cfg, ("delta_over_g", "omega_over_delta", "n_max", "lambda_t", "cavity_fock")
-    )
-    return echo, rows, [f"points={len(rows)}"]
+    return rows, [f"points={len(rows)}"]
 
 
-def _run_timing_sweep(cfg: dict) -> tuple[dict, list[dict], list[str]]:
+def _run_timing_sweep(cfg: dict) -> tuple[list[dict], list[str]]:
     rows = [
         {"epsilon": float(eps), "fidelity": timing_error_fidelity(float(eps))}
         for eps in cfg["epsilon_grid"]
     ]
-    echo = _config_echo(cfg, ("epsilon_grid",))
-    return echo, rows, [f"points={len(rows)}"]
+    return rows, [f"points={len(rows)}"]
 
 
-def _run_decode_table(cfg: dict) -> tuple[dict, list[dict], list[str]]:
+def _run_decode_table(cfg: dict) -> tuple[list[dict], list[str]]:
     rows = [
         {
             "pair": pair,
@@ -243,8 +223,7 @@ def _run_decode_table(cfg: dict) -> tuple[dict, list[dict], list[str]]:
         }
         for pair, signs, op in decode_table(cfg["n_users"])
     ]
-    echo = _config_echo(cfg, ("n_users",))
-    return echo, rows, [f"rows={len(rows)}"]
+    return rows, [f"rows={len(rows)}"]
 
 
 RUNNERS = {
@@ -278,22 +257,23 @@ def _csv_cell(value):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args, parser)
+        cfg = resolve_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"ghzdc: invalid configuration: {exc}", file=sys.stderr)
         return 2
     started = time.monotonic()
     try:
-        echo, rows, notes = RUNNERS[cfg["command"]](cfg)
+        rows, notes = RUNNERS[cfg["command"]](cfg)
     except ValueError as exc:
         print(f"ghzdc: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - surfaced as invariant breach
         print(f"ghzdc: internal invariant breach: {exc!r}", file=sys.stderr)
         return 4
+    echo = {key: cfg[key] for key in COMMANDS[cfg["command"]][1]}
+    echo |= {"command": cfg["command"], "schema_version": SCHEMA_VERSION}
     data = render_data(echo, rows, cfg["format"])
     try:
         if cfg["out"] in (None, "-"):

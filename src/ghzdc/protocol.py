@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 
 import numpy as np
 
@@ -241,6 +241,16 @@ class CheckRecord:
         }
 
 
+def _measure_chain(state: QuantumState, qubits, bases, rands):
+    """Measure each qubit in turn, in its basis with its uniform draw; yield each result bit.
+
+    ``rands`` is read once per qubit, right before that qubit is measured.
+    """
+    for qubit, basis, rand in zip(qubits, bases, rands):
+        outcome, state = measure(state, qubit, basis, rand)
+        yield outcome.result
+
+
 def security_check_round(state: QuantumState, bases, rands) -> CheckRecord:
     """All parties measure their shares in the chosen X/Y bases.
 
@@ -259,17 +269,15 @@ def security_check_round(state: QuantumState, bases, rands) -> CheckRecord:
     for b in bases:
         if b not in CHECK_BASES:
             raise ValueError(f"check bases must be 'X' or 'Y', got {b!r}")
-    results = []
-    current = state
-    for qubit, (label, rand) in enumerate(zip(bases, rands), start=1):
-        outcome, current = measure(current, qubit, CHECK_BASES[label], rand)
-        results.append(outcome.result)
+    results = tuple(
+        _measure_chain(state, range(1, n_parties + 1), map(CHECK_BASES.get, bases), rands)
+    )
     observed = sum(results) % 2
     expected = parity_accept_set(n_parties).get("".join(bases))
     in_accept = expected is not None
     return CheckRecord(
         bases=bases,
-        results=tuple(results),
+        results=results,
         in_accept_set=in_accept,
         expected_parity=expected,
         observed_parity=observed,
@@ -290,7 +298,6 @@ class SessionConfig:
     p_check: float = 0.1
     n_users: int = 2
     receiver: Role = Role.BOB
-    pulse: PulseParams = CANONICAL_PULSE
 
     def __post_init__(self):
         if not 0.0 <= self.p_check <= 1.0:
@@ -360,18 +367,15 @@ def measure_decode(
     Returns the pair string (Alice's atom first) and the partner signs in
     qubit order.
     """
-    pair_chars = []
-    current = state
-    for qubit in (1, receiver_qubit):
-        outcome, current = measure(current, qubit, COMPUTATIONAL, rng.random())
-        pair_chars.append("eg"[outcome.result])
-    signs = []
-    for qubit in range(2, state.num_qubits + 1):
-        if qubit == receiver_qubit:
-            continue
-        outcome, current = measure(current, qubit, PLUS_MINUS, rng.random())
-        signs.append(SIGNS[outcome.result])
-    return "".join(pair_chars), tuple(signs)
+    partners = (q for q in range(2, state.num_qubits + 1) if q != receiver_qubit)
+    results = _measure_chain(
+        state,
+        chain((1, receiver_qubit), partners),
+        chain((COMPUTATIONAL, COMPUTATIONAL), repeat(PLUS_MINUS)),
+        iter(rng.random, None),
+    )
+    pair = "eg"[next(results)] + "eg"[next(results)]
+    return pair, tuple(SIGNS[result] for result in results)
 
 
 def random_check_round(state: QuantumState, rng: np.random.Generator, n_parties: int = 3) -> CheckRecord:
@@ -385,10 +389,10 @@ def random_check_round(state: QuantumState, rng: np.random.Generator, n_parties:
 
 
 @functools.lru_cache(maxsize=128)
-def _honest_post_state(n_users: int, op: EncodingOp, pulse: PulseParams, receiver_qubit: int) -> QuantumState:
+def _honest_post_state(n_users: int, op: EncodingOp, receiver_qubit: int) -> QuantumState:
     # Message rounds of an honest session all start from this state.
     state = encode(prepare_ghz(n_users), op)
-    return bob_interaction(state, pulse, qubits=(1, receiver_qubit))
+    return bob_interaction(state, qubits=(1, receiver_qubit))
 
 
 def run_session(
@@ -402,7 +406,7 @@ def run_session(
     if message_bits is None:
         raise ValueError("message bits are required on an encoding round")
     op = EncodingOp.from_bits(message_bits)
-    state = _honest_post_state(config.n_users, op, config.pulse, config.receiver_qubit)
+    state = _honest_post_state(config.n_users, op, config.receiver_qubit)
     pair, signs = measure_decode(state, rng, config.receiver_qubit)
     decoded = decode_n(pair, signs)
     return SessionRecord(

@@ -29,7 +29,6 @@ SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # i*sigma_y == sigma_z @ sigma_x; real-valued representative of the y rotation.
 I_SIGMA_Y = np.array([[0, 1], [-1, 0]], dtype=complex)

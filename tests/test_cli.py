@@ -121,6 +121,25 @@ class TestAdversary:
         assert (row["theta"] is not None) == (flag == "ancilla")
         assert ("information_bits" in row) == (flag == "ancilla")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("use_file", [False, True])
+    def test_non_finite_theta_exits_two(self, value, use_file, capsys, tmp_path):
+        argv = ["adversary", "--model", "bob-lies", "--rounds", "100"]
+        if use_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"theta": value}))  # json writes NaN / Infinity
+            code, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
+            assert "config key 'theta'" in err
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--theta", str(value)])
+            code, captured = exc.value.code, capsys.readouterr()
+            out, err = captured.out, captured.err
+            assert "--theta" in err
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
 
 class TestSweeps:
     def test_physics_sweep_csv_columns(self, capsys):
@@ -264,3 +283,51 @@ class TestIOFailure:
         )
         assert code == 3
         assert "cannot write" in err
+
+
+class TestSurface:
+    """Every subcommand's echo keys, config-file keys and help, independent of how the CLI declares them."""
+
+    ECHO_KEYS = {
+        "session": {"seed", "rounds", "p_check", "n_users", "message", "receiver"},
+        "adversary": {"seed", "rounds", "model", "target_qubit", "intercept_basis", "theta"},
+        "physics-sweep": {"delta_over_g", "omega_over_delta", "n_max", "lambda_t", "cavity_fock"},
+        "timing-sweep": {"epsilon_grid"},
+        "decode-table": {"n_users"},
+    }
+    # One valid value for every config key; "out" is added per test.
+    EVERY_KEY = {
+        "seed": 4, "format": "json", "rounds": 100, "p_check": 0.5, "n_users": 2,
+        "message": 3, "receiver": "charlie", "model": "ancilla", "target_qubit": 3,
+        "intercept_basis": "y", "theta": 0.3, "delta_over_g": [10, 20],
+        "omega_over_delta": 20, "n_max": 6, "lambda_t": 0.7, "cavity_fock": 1,
+        "epsilon_grid": [0, 0.01],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ECHO_KEYS))
+    def test_default_echo_keys(self, command, capsys, monkeypatch):
+        monkeypatch.delenv("GHZDC_CONFIG", raising=False)
+        code, out, _ = run_cli([command], capsys)
+        assert code == 0
+        echo = json.loads(out.splitlines()[0])["config"]
+        assert set(echo) == self.ECHO_KEYS[command] | {"command", "schema_version"}
+
+    @pytest.mark.parametrize("command", sorted(ECHO_KEYS))
+    def test_file_with_every_key_is_accepted(self, command, capsys, tmp_path):
+        data = tmp_path / "data.jsonl"
+        cfg = tmp_path / "every.json"
+        cfg.write_text(json.dumps({**self.EVERY_KEY, "out": str(data)}))
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 0, err
+        assert out == ""
+        echo = json.loads(data.read_text().splitlines()[0])["config"]
+        assert echo == {key: self.EVERY_KEY[key] for key in self.ECHO_KEYS[command]} | {
+            "command": command, "schema_version": 1,
+        }
+
+    @pytest.mark.parametrize("command", sorted(ECHO_KEYS))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out

@@ -6,24 +6,42 @@ The files hold only the data section of each run (the config echo plus the
 records), which is a pure function of the echoed config.  Running this
 script against two checkouts (point PYTHONPATH at each ``src`` in turn) and
 comparing the output directories with ``diff -r`` shows whether a change
-moved any CLI data byte.
+moved any CLI data byte.  One run per subcommand passes no flag but
+``--out``, so the defaults are pinned too, and one session run takes every
+value from a config file the script writes.  ``GHZDC_CONFIG`` is cleared for
+these runs, so the caller's environment cannot reach the transcripts.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
+import os
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 from ghzdc.cli import main
 
 ADVERSARY_ROUNDS = "2000"
+# Spelled out, not read from ghzdc.cli, so that any checkout's src can be compared.
+COMMANDS = ("session", "adversary", "physics-sweep", "timing-sweep", "decode-table")
+# Every value of the config-file session run; the echo shows each one.
+SESSION_FILE = {
+    "seed": 13, "rounds": 300, "p_check": 0.25, "n_users": 2, "message": 1,
+    "receiver": "charlie", "format": "json",
+}
 
 
-def invocations() -> dict[str, list[str]]:
-    """File name -> argument vector, for every transcript in the set."""
-    runs = {}
+def invocations(config_path: Path) -> dict[str, list[str]]:
+    """File name -> argument vector, for every transcript in the set.
+
+    ``config_path`` is where ``write_transcripts`` puts ``SESSION_FILE``.
+    """
+    runs = {f"{command}-defaults.jsonl": [command] for command in COMMANDS}
+    runs["session-config-file.jsonl"] = ["session", "--config", str(config_path)]
     for n_users in range(2, 7):
         runs[f"session-n{n_users}.jsonl"] = [
             "session", "--n-users", str(n_users), "--p-check", "0.3",
@@ -72,13 +90,17 @@ def invocations() -> dict[str, list[str]]:
 def write_transcripts(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     failed = 0
-    for name, argv in invocations().items():
-        # Diagnostics (version, wall time) go to stderr and are not part of the data.
-        with contextlib.redirect_stderr(io.StringIO()):
-            code = main([*argv, "--out", str(outdir / name)])
-        if code != 0:
-            print(f"{name}: exit code {code}", file=sys.stderr)
-            failed += 1
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("GHZDC_CONFIG", None)
+        config_path = Path(tmp) / "session.json"
+        config_path.write_text(json.dumps(SESSION_FILE), encoding="utf-8")
+        for name, argv in invocations(config_path).items():
+            # Diagnostics (version, wall time) go to stderr and are not part of the data.
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main([*argv, "--out", str(outdir / name)])
+            if code != 0:
+                print(f"{name}: exit code {code}", file=sys.stderr)
+                failed += 1
     return 1 if failed else 0
 
 
