@@ -10,8 +10,6 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
 
 __version__ = "0.1.0"
 
-# cavity loads first: it re-exports protocol's timing_error_fidelity, and
-# protocol imports cavity (see the end of cavity.py).
 from .cavity import (
     CANONICAL_PULSE,
     CavityParams,

@@ -223,8 +223,14 @@ def _controlled_rotation(theta: float) -> np.ndarray:
     return u
 
 
+@functools.lru_cache(maxsize=128)
 def attach_ancilla(state: QuantumState, theta: float) -> QuantumState:
-    """Append a fresh ancilla (as the last qubit) entangled with the second share (qubit 2)."""
+    """Append a fresh ancilla (as the last qubit) entangled with the second share (qubit 2).
+
+    Cached by ``(state, theta)``, states keyed by identity: an ancilla Monte
+    Carlo round passes the one cached ``prepare_ghz()`` state, so every round
+    after the first reuses the attacked state.
+    """
     amps = np.zeros(2 * state.amplitudes.size, dtype=complex)
     amps[0::2] = state.amplitudes  # ancilla starts in |e>
     attacked = QuantumState(amps)
@@ -359,6 +365,7 @@ def _report_cheat(flag: str, field: str, exclude_truth: bool) -> MessageStrategy
     report (lies) or a uniformly random false one (flips); a hit is a wrong decode."""
     alphabet = PAIRS if field == "pair" else SIGNS
 
+    @functools.cache  # 4 operations x 8 keys; Monte Carlo rounds look them up
     def outcomes(op: EncodingOp, key: DecodeKey) -> tuple[bool, ...]:
         truth = getattr(key, field)
         return tuple(

@@ -353,8 +353,3 @@ def effective_model_sweep(
         err = validate_effective_model(params, FockSpace(n_max), pulse, initial_cavity)
         points.append(SweepPoint(float(ratio), float(omega_over_delta), int(n_max), err))
     return points
-
-
-# Defined in protocol, which owns the GHZ resource and its encodings; imported
-# last so that protocol's own import of this module finds every name above.
-from .protocol import timing_error_fidelity  # noqa: E402

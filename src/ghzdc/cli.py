@@ -45,6 +45,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _probability(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -73,7 +80,7 @@ def _finite_float(text: str) -> float:
 
 # Config key (the flag name with '-' as '_') -> (default, add_argument options).
 FLAGS = {
-    "seed": (0, {"type": int}),
+    "seed": (0, {"type": _non_negative_int}),
     "out": ("-", {"help": "output path, '-' for stdout"}),
     "format": ("json", {"choices": ("json", "csv")}),
     "rounds": (1000, {"type": _positive_int}),

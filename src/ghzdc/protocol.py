@@ -82,8 +82,12 @@ _ENCODING_MATRICES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def prepare_ghz(n_users: int = 2) -> QuantumState:
-    """Resource state (|e...e> + i|g...g>)/sqrt(2) on n_users + 1 qubits."""
+    """Resource state (|e...e> + i|g...g>)/sqrt(2) on n_users + 1 qubits.
+
+    Built once per ``n_users``; every call returns the same immutable state.
+    """
     if not 2 <= n_users <= MAX_USERS:
         raise ValueError(f"n_users must be 2..{MAX_USERS}, got {n_users}")
     amps = np.zeros(2 ** (n_users + 1), dtype=complex)

@@ -35,7 +35,6 @@ from ghzdc.cavity import (
     drive_hamiltonian,
     effective_hamiltonian,
     effective_unitary,
-    timing_error_fidelity,
     validate_effective_model,
 )
 from ghzdc.cli import main as cli_main
@@ -51,6 +50,7 @@ from ghzdc.protocol import (
     prepare_ghz_n,
     run_session,
     security_check_round,
+    timing_error_fidelity,
 )
 from ghzdc.qstate import QuantumState, global_phase_equal
 

@@ -28,7 +28,7 @@ from ghzdc.adversary import (
     solo_guess_probability,
 )
 from ghzdc.cli import MODEL_FLAGS
-from ghzdc.protocol import EncodingOp, Role, prepare_ghz
+from ghzdc.protocol import PAIRS, DecodeKey, EncodingOp, Role, decode, encode, prepare_ghz
 from ghzdc.qstate import QuantumState
 
 
@@ -227,3 +227,44 @@ class TestMonteCarlo:
         ):
             value = analytic_success(model)
             assert 0.0 <= value <= 1.0
+
+
+class TestCachedRoundInputs:
+    """Inputs every Monte Carlo round shares are built once and change no estimate."""
+
+    @pytest.mark.parametrize(
+        "model,empirical",
+        [
+            (AdversaryModel.bob_lies(), 0.7485),
+            (AdversaryModel.intercept_resend(2), 0.253),
+            (AdversaryModel.ancilla_attack(0.7854), 0.078),
+        ],
+    )
+    def test_adversary_mix_estimates_pinned(self, model, empirical):
+        # Values of the state-vector Monte Carlo before any round input was cached.
+        assert monte_carlo_confirm(model, 2000, seed=5).empirical_success == empirical
+
+    def test_attached_state_is_cached(self):
+        assert attach_ancilla(prepare_ghz(), 0.7854) is attach_ancilla(prepare_ghz(), 0.7854)
+
+    def test_equal_distinct_state_gives_equal_result(self):
+        ghz = prepare_ghz()
+        copy = QuantumState(ghz.amplitudes.copy())
+        assert copy is not ghz
+        np.testing.assert_array_equal(
+            attach_ancilla(copy, 0.7854).amplitudes, attach_ancilla(ghz, 0.7854).amplitudes
+        )
+
+    def test_other_inputs_give_other_states(self):
+        ghz = prepare_ghz()
+        base = attach_ancilla(ghz, 0.3)
+        assert not attach_ancilla(ghz, 0.7).allclose(base)
+        assert not attach_ancilla(encode(ghz, EncodingOp.SIGMA_X), 0.3).allclose(base)
+
+    def test_liar_table_matches_decoding(self):
+        outcomes = STRATEGIES["bob_lies"].outcomes
+        for op in EncodingOp:
+            for key in (DecodeKey(pair, sign) for pair in PAIRS for sign in "+-"):
+                expected = tuple(decode(DecodeKey(p, key.sign)) != op for p in PAIRS)
+                assert outcomes(op, key) == expected
+                assert outcomes(op, key) is outcomes(op, key)

@@ -32,9 +32,9 @@ from ghzdc.cavity import (
     effective_unitary,
     evolution_operator,
     full_hamiltonian,
-    timing_error_fidelity,
     validate_effective_model,
 )
+from ghzdc.protocol import timing_error_fidelity
 from ghzdc.qstate import IDENTITY, SIGMA_X, SIGMA_Z
 
 SQ2 = 1 / np.sqrt(2)

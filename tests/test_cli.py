@@ -274,6 +274,29 @@ class TestConfigLayering:
         assert "invalid configuration" in err
         assert repr(key) in err
 
+    @pytest.mark.parametrize("use_file", [False, True])
+    def test_negative_seed_names_its_key(self, use_file, capsys, tmp_path):
+        if use_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            code, out, err = run_cli(["session", "--config", str(cfg)], capsys)
+            assert "config key 'seed'" in err
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(["session", "--seed", "-1"])
+            code, captured = exc.value.code, capsys.readouterr()
+            out, err = captured.out, captured.err
+            assert "--seed" in err
+        assert code == 2
+        assert out == ""
+        assert "must be >= 0" in err
+        assert "expected non-negative integer" not in err
+
+    def test_zero_seed_is_accepted(self, capsys):
+        code, out, _ = run_cli(["session", "--rounds", "5", "--seed", "0"], capsys)
+        assert code == 0
+        assert data_lines(out)[0]["config"]["seed"] == 0
+
 
 class TestIOFailure:
     def test_unwritable_output_exits_three(self, capsys, tmp_path):

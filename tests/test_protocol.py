@@ -11,6 +11,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzdc.protocol import (
     PAIRS,
@@ -121,6 +123,15 @@ class TestPrepareGhz:
     def test_n_user_range(self, n):
         with pytest.raises(ValueError):
             prepare_ghz_n(n)
+
+    @pytest.mark.parametrize("n", [2, 5, 11])
+    def test_one_shared_read_only_state(self, n):
+        s = prepare_ghz(n)
+        assert prepare_ghz(n) is s
+        with pytest.raises(ValueError):
+            s.amplitudes[0] = 0.0
+        assert s.amplitudes[0] == SQ2
+        assert s.amplitudes[-1] == 1j * SQ2
 
 
 class TestEncode:
@@ -419,6 +430,21 @@ class TestDecodeNOracle:
 
     def test_specific_row(self):
         assert decode_n("ee", ("+", "+")) is EncodingOp.IDENTITY
+
+
+class TestDecodeProperty:
+    """Every honest message round decodes exactly, for any stream and group size."""
+
+    @pytest.mark.parametrize("n_users", range(2, 12))
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), round_index=st.integers(0, 10**9))
+    def test_message_round_decodes_its_bits(self, n_users, seed, round_index):
+        config = SessionConfig(rng_seed=seed, p_check=0.0, n_users=n_users)
+        for op in EncodingOp:
+            record = run_session(config, op.bits, round_index)
+            assert record.branch == "encode"
+            assert len(record.partner_signs) == n_users - 1
+            assert record.decoded_bits == op.bits
 
 
 class TestSessionRecordJson:
