@@ -17,7 +17,9 @@ of that system live here:
    generator is time independent.  ``validate_effective_model`` evolves it
    numerically and reports how far the reduced atomic dynamics strays from
    the closed form.  The atom-exchange singlet is dark to cavity and drive,
-   so only the exchange-symmetric (triplet) block is diagonalized.
+   so only the exchange-symmetric (triplet) block is diagonalized.  That
+   block is gathered photon-major (index ``3 * n + slot``), which keeps it
+   banded, and the weighted input columns are propagated in real arithmetic.
 
 Operator convention: the raising operator is ``S+ = |e><g|`` (so the
 ``a_dagger S-`` coupling term conserves excitation number).  Atom ordering
@@ -119,9 +121,14 @@ CANONICAL_PULSE = PulseParams(lambda_t=np.pi / 4, omega_t=np.pi)
 
 
 # Largest truncation accepted: one validation at n_max 400 is a dense 1203x1203
-# eigensolve of the exchange-symmetric block, ~0.4 s and ~100 MB peak resident
-# (2 cores, one BLAS thread); the cost grows as n_max**3.
+# eigensolve of the exchange-symmetric block, ~0.4-0.5 s and ~87 MB peak resident
+# in a fresh process (2 cores, one BLAS thread); the cost grows as n_max**3.
 MAX_FOCK = 400
+
+# Largest phase error accepted from float64 propagation: eps * max|E| * t, for the
+# generator's largest energy |E| and the pulse duration t.  The physics-sweep
+# workload's worst point (delta/g 80, n_max 96) sits at 3.0e-10.
+MAX_PHASE_ERROR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -226,11 +233,6 @@ def full_hamiltonian(params: CavityParams, fock: FockSpace) -> np.ndarray:
     return h
 
 
-def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(rho - sigma)
-    return float(0.5 * np.sum(np.abs(eigs)))
-
-
 def _cavity_weights(initial_cavity, levels: int) -> np.ndarray:
     if isinstance(initial_cavity, (int, np.integer)):
         if not 0 <= initial_cavity < levels:
@@ -261,6 +263,30 @@ def _exchange_reflect(x: np.ndarray) -> None:
         pairs[1], pairs[2] = (pairs[1] + pairs[2]) * _SQRT_HALF, (pairs[1] - pairs[2]) * _SQRT_HALF
 
 
+def _exchange_split(h: np.ndarray, fock_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triplet block of the generator ``h``, photon-major, and its singlet energies at ``fock_in``.
+
+    Row and column ``3 * n + slot`` of the block is ``|slot, n>`` for slot (ee, T0, gg)
+    and photon number n.  T0 and S are formed on rows first, then on columns, as
+    ``_exchange_reflect`` does.  In this order the block is banded: drive and
+    exchange coupling reach at most one photon number away.  ``h`` is overwritten.
+    """
+    levels = h.shape[0] // 4
+    h = h.reshape(4, levels, 4, levels)
+    n = fock_in
+    singlet = ((h[1, n, 1, n] - h[2, n, 1, n]) * _SQRT_HALF
+               - (h[1, n, 2, n] - h[2, n, 2, n]) * _SQRT_HALF) * _SQRT_HALF
+    h[1] += h[2]
+    h[1] *= _SQRT_HALF  # pair row 1 is now T0
+    block = np.empty((levels, 3, levels, 3))
+    for slot, rows in enumerate((h[0], h[1], h[3])):
+        block[:, slot, :, 0] = rows[:, 0]
+        t0 = np.add(rows[:, 1], rows[:, 2], out=block[:, slot, :, 1])
+        t0 *= _SQRT_HALF
+        block[:, slot, :, 2] = rows[:, 3]
+    return block.reshape(3 * levels, 3 * levels), singlet
+
+
 def validate_effective_model(
     params: CavityParams,
     fock: FockSpace,
@@ -276,6 +302,8 @@ def validate_effective_model(
     compared against the prediction of ``effective_unitary`` for the pulse
     actually realized in that time.  Emits ``TruncationWarning`` when any
     branch puts more than 1e-6 of its population on the top retained level.
+    Raises ``ValueError`` when float64 cannot resolve the phases, i.e. when
+    ``eps * max|E| * t`` exceeds ``MAX_PHASE_ERROR``.
     """
     lam = params.dispersive_coupling
     if duration is None:
@@ -285,8 +313,6 @@ def validate_effective_model(
             duration = 0.0
         else:
             duration = pulse.lambda_t / lam
-    realized = PulseParams(lambda_t=lam * duration, omega_t=params.omega_rabi * duration)
-    u_eff = effective_unitary(realized)
 
     levels = fock.levels
     weights = _cavity_weights(initial_cavity, levels)
@@ -294,33 +320,37 @@ def validate_effective_model(
     # Atom exchange commutes with the generator, and the singlet (|eg> - |ge>)/sqrt2
     # is dark to cavity and drive alike: in the pair basis (ee, T0, S, gg) the
     # generator splits into a triplet block on pair slots 0, 1, 3 (3 * levels
-    # dimensions) and a diagonal singlet block on slot 2.
-    h = full_hamiltonian(params, fock).reshape(4, levels, 4, levels)
-    _exchange_reflect(h)
-    singlet_energies = h[2, :, 2].diagonal()[fock_in]  # (omega_a - omega_drive) n
-    h = h.take(_TRIPLET_SLOTS, axis=0).take(_TRIPLET_SLOTS, axis=2)  # drop the dark singlet
-    energies, modes = np.linalg.eigh(h.reshape(3 * levels, 3 * levels))
-    # Propagate only the input columns |pair, n> that carry weight, in that basis:
-    # exp(-iHt)[:, cols] = V exp(-iwt) V[cols, :]^T on the triplet block for the
-    # real orthogonal V, and one phase on each singlet column.
+    # dimensions) and a diagonal singlet block on slot 2, (omega_a - omega_drive) n.
+    block, singlet_energies = _exchange_split(full_hamiltonian(params, fock), fock_in)
+    energies, modes = np.linalg.eigh(block)
+    top = max(np.abs(energies).max(), np.abs(singlet_energies).max())
+    phase_error = np.finfo(float).eps * top * duration
+    if not phase_error <= MAX_PHASE_ERROR:
+        raise ValueError(
+            f"eps*max|E|*t = {phase_error:.2e} exceeds {MAX_PHASE_ERROR:g}: "
+            "float64 cannot resolve the phases of so long a pulse")
+    u_eff = effective_unitary(
+        PulseParams(lambda_t=lam * duration, omega_t=params.omega_rabi * duration))
+    # Propagate only the input columns |slot, n> that carry weight, in real arithmetic:
+    # exp(-iHt)[:, cols] = V cos(wt) V[cols]^T - i V sin(wt) V[cols]^T on the triplet
+    # block for the real orthogonal V, and one phase on each singlet column.
     k = fock_in.size
-    cols = (np.arange(3)[:, None] * levels + fock_in).ravel()
-    triplet = (modes * np.exp(-1j * energies * duration)) @ modes[cols].T
+    cols = (3 * fock_in[:, None] + np.arange(3)).ravel()  # [fock_in, slot]
+    inputs = modes[cols].T
+    angles = (energies * duration)[:, None]
+    waves = modes @ np.hstack((inputs * np.cos(angles), inputs * np.sin(angles)))
+    waves = waves.reshape(levels, 3, 2, k, 3).transpose(2, 1, 0, 4, 3)  # [re/im, slot, n, slot, k]
     outputs = np.zeros((4, levels, 4, k), dtype=complex)
     in_triplet = np.ix_(_TRIPLET_SLOTS, range(levels), _TRIPLET_SLOTS, range(k))
-    outputs[in_triplet] = triplet.reshape(3, levels, 3, k)
+    outputs.real[in_triplet] = waves[0]
+    outputs.imag[in_triplet] = -waves[1]
     outputs[2, fock_in, 2, range(k)] = np.exp(-1j * singlet_energies * duration)
     _exchange_reflect(outputs)
     branches = outputs.transpose(2, 3, 0, 1)  # [atom_in, fock_in, pair, n]
-    worst = 0.0
-    worst_leak = 0.0
-    for atom_in in range(4):
-        rho = np.zeros((4, 4), dtype=complex)
-        for branch, w in zip(branches[atom_in], weights[fock_in]):
-            worst_leak = max(worst_leak, float(np.sum(np.abs(branch[:, -1]) ** 2)))
-            rho += w * (branch @ branch.conj().T)
-        target = u_eff[:, atom_in]
-        worst = max(worst, _trace_distance(rho, np.outer(target, target.conj())))
+    worst_leak = float(np.max(np.sum(np.abs(branches[..., -1]) ** 2, axis=-1)))
+    rho = np.einsum("k,akpn,akqn->apq", weights[fock_in], branches, branches.conj())
+    targets = u_eff.T[:, :, None] * u_eff.T.conj()[:, None, :]  # [atom_in, pair, pair]
+    distances = 0.5 * np.abs(np.linalg.eigvalsh(rho - targets)).sum(axis=1)
     if worst_leak > 1e-6:
         warnings.warn(
             f"population {worst_leak:.2e} reached Fock level {fock.n_max}; "
@@ -328,7 +358,7 @@ def validate_effective_model(
             TruncationWarning,
             stacklevel=2,
         )
-    return worst
+    return float(distances.max())
 
 
 @dataclass(frozen=True)

@@ -38,44 +38,47 @@ MODEL_FLAGS = {strategy.flag: kind for kind, strategy in STRATEGIES.items()}
 _MODEL_FIELD_KEYS = {"basis": "intercept_basis"}
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _flag_type(parse, kind: str, ok=None, bound: str = ""):
+    """A flag type whose errors say what the value must be.
+
+    Text that ``parse`` rejects gives "must be <kind>", a value for which ``ok`` is
+    false "must <bound>".  argparse prints the message after the flag name, and
+    a config file after its key.
+    """
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+        if ok is not None and not ok(value):
+            raise argparse.ArgumentTypeError(f"must {bound}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("must lie in [0, 1]")
-    return value
-
-
-def _float_list(text: str) -> list[float]:
+def _numbers(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _epsilon_grid(text: str) -> list[float]:
+def _grid(text: str) -> list[float]:
     """Either 'start:stop:count' or a comma-separated list."""
     if ":" in text:
         start, stop, count = text.split(":")
         return list(np.linspace(float(start), float(stop), int(count)))
-    return _float_list(text)
+    return _numbers(text)
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("must be finite")
-    return value
+_integer = _flag_type(int, "an integer")
+_non_negative_int = _flag_type(int, "an integer", lambda v: v >= 0, "be >= 0")
+_positive_int = _flag_type(int, "an integer", lambda v: v >= 1, "be >= 1")
+_real = _flag_type(float, "a number")
+_finite_float = _flag_type(float, "a number", math.isfinite, "be finite")
+_probability = _flag_type(float, "a number", lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_float_list = _flag_type(_numbers, "a comma-separated list of numbers")
+_epsilon_grid = _flag_type(_grid, "'start:stop:count' with an integer count >= 0, "
+                           "or a comma-separated list of numbers")
 
 
 # Config key (the flag name with '-' as '_') -> (default, add_argument options).
@@ -85,19 +88,19 @@ FLAGS = {
     "format": ("json", {"choices": ("json", "csv")}),
     "rounds": (1000, {"type": _positive_int}),
     "p_check": (0.1, {"type": _probability}),
-    "n_users": (2, {"type": int}),
-    "message": (None, {"type": int, "choices": range(4),
+    "n_users": (2, {"type": _integer}),
+    "message": (None, {"type": _integer, "choices": range(4),
                        "help": "fix the 2-bit message; random per round when absent"}),
     "receiver": ("bob", {"choices": ("bob", "charlie")}),
     "model": ("honest", {"choices": sorted(MODEL_FLAGS)}),
-    "target_qubit": (2, {"type": int, "choices": (2, 3)}),
+    "target_qubit": (2, {"type": _integer, "choices": (2, 3)}),
     "intercept_basis": ("computational", {"choices": sorted(INTERCEPT_BASES)}),
     "theta": (math.pi / 4, {"type": _finite_float}),
     "delta_over_g": ([10.0, 20.0, 40.0], {"type": _float_list}),
-    "omega_over_delta": (20.0, {"type": float}),
-    "n_max": (8, {"type": int}),
-    "lambda_t": (math.pi / 4, {"type": float}),
-    "cavity_fock": (0, {"type": int}),
+    "omega_over_delta": (20.0, {"type": _real}),
+    "n_max": (8, {"type": _integer}),
+    "lambda_t": (math.pi / 4, {"type": _real}),
+    "cavity_fock": (0, {"type": _integer}),
     "epsilon_grid": (list(np.linspace(-0.05, 0.05, 21)), {"type": _epsilon_grid}),
 }
 
@@ -140,7 +143,7 @@ def _file_value(key: str, raw):
     text = ",".join(map(str, raw)) if isinstance(raw, list) else str(raw)
     try:
         value = text if parse is None else parse(text)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except argparse.ArgumentTypeError as exc:
         raise ValueError(f"config key {key!r}: {raw!r}: {exc}") from None
     choices = options.get("choices")
     if choices is not None and value not in choices:

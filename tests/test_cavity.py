@@ -26,6 +26,9 @@ from ghzdc.cavity import (
     FockSpace,
     PulseParams,
     TruncationWarning,
+    _cavity_weights,
+    _exchange_reflect,
+    _exchange_split,
     drive_hamiltonian,
     effective_hamiltonian,
     effective_model_sweep,
@@ -81,6 +84,45 @@ def dense_expm_validation(params, fock, pulse, weights, duration=None):
             branch = u[:, atom_in * levels + n].reshape(4, levels)
             rho += w * (branch @ branch.conj().T)
         target = closed[:, atom_in]
+        eigs = np.linalg.eigvalsh(rho - np.outer(target, target.conj()))
+        worst = max(worst, 0.5 * float(np.sum(np.abs(eigs))))
+    return worst
+
+
+def slot_major_validation(params, fock, pulse, initial_cavity=0, duration=None):
+    """Reference validation error: the triplet block in slot-major order, complex propagation.
+
+    The generator is reflected in place to the pair basis (ee, T0, S, gg), the
+    triplet slots are taken out slot-major (index ``slot * levels + n``), the input
+    columns are propagated with complex phases, and each atom input gets its own
+    density matrix and trace distance.
+    """
+    lam = params.dispersive_coupling
+    t = pulse.lambda_t / lam if duration is None else duration
+    u_eff = effective_unitary(PulseParams(lam * t, params.omega_rabi * t))
+    levels = fock.levels
+    weights = _cavity_weights(initial_cavity, levels)
+    fock_in = np.flatnonzero(weights)
+    slots = np.array([0, 1, 3])
+    h = full_hamiltonian(params, fock).reshape(4, levels, 4, levels)
+    _exchange_reflect(h)
+    singlet_energies = h[2, :, 2].diagonal()[fock_in]
+    h = h.take(slots, axis=0).take(slots, axis=2)
+    energies, modes = np.linalg.eigh(h.reshape(3 * levels, 3 * levels))
+    k = fock_in.size
+    cols = (np.arange(3)[:, None] * levels + fock_in).ravel()
+    triplet = (modes * np.exp(-1j * energies * t)) @ modes[cols].T
+    outputs = np.zeros((4, levels, 4, k), dtype=complex)
+    outputs[np.ix_(slots, range(levels), slots, range(k))] = triplet.reshape(3, levels, 3, k)
+    outputs[2, fock_in, 2, range(k)] = np.exp(-1j * singlet_energies * t)
+    _exchange_reflect(outputs)
+    branches = outputs.transpose(2, 3, 0, 1)
+    worst = 0.0
+    for atom_in in range(4):
+        rho = np.zeros((4, 4), dtype=complex)
+        for branch, w in zip(branches[atom_in], weights[fock_in]):
+            rho += w * (branch @ branch.conj().T)
+        target = u_eff[:, atom_in]
         eigs = np.linalg.eigvalsh(rho - np.outer(target, target.conj()))
         worst = max(worst, 0.5 * float(np.sum(np.abs(eigs))))
     return worst
@@ -440,6 +482,59 @@ class TestExchangeSplit:
             err = validate_effective_model(params, fock, CANONICAL_PULSE, initial_cavity, duration)
         expected = dense_expm_validation(params, fock, CANONICAL_PULSE, weights, duration)
         assert abs(err - expected) < 1e-10
+
+
+class TestPhotonMajorBlock:
+    """The triplet block is gathered photon-major and propagated in real arithmetic."""
+
+    @pytest.mark.parametrize("params", [params_for(), OFF_RESONANT])
+    @pytest.mark.parametrize("n_max", [1, 8])
+    def test_block_equals_reordered_elementwise_rotation(self, params, n_max):
+        levels = n_max + 1
+        h = full_hamiltonian(params, FockSpace(n_max))
+        rotated = TestExchangeSplit.exchange_rotated(h, levels).reshape(4, levels, 4, levels)
+        triplet = rotated[[0, 1, 3]][:, :, [0, 1, 3]]  # [slot, n, slot, m]
+        expected = triplet.transpose(1, 0, 3, 2).reshape(3 * levels, 3 * levels)
+        fock_in = np.arange(levels)
+        block, singlet = _exchange_split(h.copy(), fock_in)
+        assert np.array_equal(block, expected)
+        assert np.array_equal(singlet, rotated[2, fock_in, 2, fock_in])
+
+    def test_block_is_banded(self):
+        """Drive and exchange coupling reach one photon number at most: bandwidth 3 + 1."""
+        block, _ = _exchange_split(full_hamiltonian(params_for(), FockSpace(8)), np.array([0]))
+        rows, cols = np.nonzero(block)
+        assert np.max(np.abs(rows - cols)) == 4
+
+    @pytest.mark.parametrize("delta_over_g", [10.0, 40.0, 80.0])
+    @pytest.mark.parametrize("initial_cavity", [0, 1, [0.5, 0.3, 0.2]])
+    def test_matches_slot_major_oracle_at_n_max_96(self, delta_over_g, initial_cavity):
+        params = params_for(delta_over_g, 20.0)
+        fock = FockSpace(96)
+        err = validate_effective_model(params, fock, CANONICAL_PULSE, initial_cavity)
+        expected = slot_major_validation(params, fock, CANONICAL_PULSE, initial_cavity)
+        assert abs(err - expected) < 1e-9
+
+
+class TestPhaseResolution:
+    """Pulses too long for float64 phases are refused rather than evaluated."""
+
+    @pytest.mark.parametrize("params,pulse", [
+        (params_for(), PulseParams(1e300, np.pi)),
+        (params_for(10.0, 1e300), CANONICAL_PULSE),
+    ])
+    def test_unresolvable_pulse_rejected(self, params, pulse):
+        with pytest.raises(ValueError, match=r"eps\*max\|E\|\*t = .* exceeds 1e-06"):
+            validate_effective_model(params, FockSpace(8), pulse, 0)
+
+    def test_explicit_duration_is_bounded_too(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            validate_effective_model(params_for(), FockSpace(8), CANONICAL_PULSE, 0, duration=1e12)
+
+    def test_far_from_dispersive_is_still_evaluated(self):
+        """delta/g = 1e-300 is far from the effective model but has short, resolvable phases."""
+        err = validate_effective_model(params_for(1e-300, 20.0), FockSpace(8), CANONICAL_PULSE, 0)
+        assert 0.0 <= err <= 1.0
 
 
 class TestTimingErrorFidelity:

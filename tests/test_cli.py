@@ -1,6 +1,7 @@
 """Command-line driver tests: exit codes, formats, config layering, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -190,6 +191,19 @@ class TestSweeps:
         assert out == ""
         assert "invalid configuration: n_max must be <= 400" in err
 
+    @pytest.mark.parametrize("flag", ["--lambda-t", "--omega-over-delta"])
+    def test_unresolvable_pulse_exits_two(self, flag, capsys):
+        code, out, err = run_cli(["physics-sweep", flag, "1e300"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "invalid configuration: eps*max|E|*t = " in err
+        assert "exceeds 1e-06" in err
+
+    def test_far_from_dispersive_regime_exits_zero(self, capsys):
+        code, out, _ = run_cli(["physics-sweep", "--delta-over-g", "1e-300"], capsys)
+        assert code == 0
+        assert 0.0 <= data_lines(out)[1]["error"] <= 1.0
+
     def test_timing_sweep_fidelities(self, capsys):
         code, out, _ = run_cli(["timing-sweep", "--epsilon-grid", "0,0.05"], capsys)
         assert code == 0
@@ -217,6 +231,41 @@ class TestDecodeTable:
         code, _, err = run_cli(["decode-table", "--n-users", "20"], capsys)
         assert code == 2
         assert "invalid configuration" in err
+
+
+class TestFlagErrors:
+    """A bad typed value exits 2 and says what it must be, by flag or config key."""
+
+    @pytest.mark.parametrize("command,key,text,raw,reason", [
+        ("session", "seed", "1.5", 1.5, "must be an integer"),
+        ("session", "rounds", "2.5", 2.5, "must be an integer"),
+        ("session", "n_users", "2.5", 2.5, "must be an integer"),
+        ("session", "p_check", "2", 2, "must lie in [0, 1]"),
+        ("adversary", "theta", "True", True, "must be a number"),
+        ("physics-sweep", "delta_over_g", "1,a", [1, "a"], "must be a comma-separated list"),
+        ("timing-sweep", "epsilon_grid", "1:2", ["1:2"], "must be 'start:stop:count'"),
+        ("timing-sweep", "epsilon_grid", "a:b:c", ["a:b:c"], "must be 'start:stop:count'"),
+        ("timing-sweep", "epsilon_grid", "1:2:-5", ["1:2:-5"], "must be 'start:stop:count'"),
+    ])
+    @pytest.mark.parametrize("use_file", [False, True])
+    def test_bad_value_names_flag_and_reason(self, command, key, text, raw, reason, use_file,
+                                             capsys, tmp_path):
+        if use_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: raw}))
+            code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+            assert f"config key {key!r}: {raw!r}: {reason}" in err
+        else:
+            flag = "--" + key.replace("_", "-")
+            with pytest.raises(SystemExit) as exc:
+                main([command, f"{flag}={text}"])
+            code, captured = exc.value.code, capsys.readouterr()
+            out, err = captured.out, captured.err
+            assert f"argument {flag}: {reason}" in err
+        assert code == 2
+        assert out == ""
+        assert f"got {text!r}" in err
+        assert re.search(r"(?<!\w)_[a-z]", err) is None  # no private helper name
 
 
 class TestConfigLayering:
