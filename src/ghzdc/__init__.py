@@ -16,11 +16,8 @@ from .cavity import (
     FockSpace,
     PulseParams,
     TruncationWarning,
-    drive_hamiltonian,
-    effective_hamiltonian,
     effective_model_sweep,
     effective_unitary,
-    evolution_operator,
     full_hamiltonian,
     validate_effective_model,
 )
@@ -62,7 +59,6 @@ from .qstate import (
     QuantumState,
     apply_gate,
     apply_two_qubit,
-    born_probabilities,
     fidelity,
     global_phase_equal,
     measure,

@@ -1,7 +1,8 @@
-"""Dishonest-party and eavesdropper analysis, by exact enumeration plus Monte Carlo.
+"""Dishonest-party and eavesdropper analysis: exact values plus Monte Carlo.
 
-Solo-guess and cheat probabilities are computed by enumerating messages,
-Born-rule outcomes, and lie randomness, then snapped to exact rationals.
+Solo-guess and cheat probabilities are exact rationals, summed over
+messages, lie randomness and the closed-form message-round distribution
+(1/2 on each of the two decode keys of Alice's operation).
 "Lying" means reporting a value drawn uniformly from the report alphabet,
 independent of the true outcome (a fabricated record); the stricter
 always-flip variants are exposed separately.  A cheat succeeds when the
@@ -27,6 +28,7 @@ import numpy as np
 
 from .protocol import (
     CHECK_BASES,
+    DECODE_TABLE,
     PAIRS,
     SIGNS,
     DecodeKey,
@@ -84,42 +86,6 @@ class AdversaryModel:
         for name in STRATEGIES[self.kind].params:
             _check_param(name, getattr(self, name))
 
-    @classmethod
-    def honest(cls):
-        return cls("honest")
-
-    @classmethod
-    def bob_alone_guess(cls):
-        return cls("bob_alone_guess")
-
-    @classmethod
-    def charlie_alone_guess(cls):
-        return cls("charlie_alone_guess")
-
-    @classmethod
-    def charlie_lies(cls):
-        return cls("charlie_lies")
-
-    @classmethod
-    def bob_lies(cls):
-        return cls("bob_lies")
-
-    @classmethod
-    def charlie_flips(cls):
-        return cls("charlie_flips")
-
-    @classmethod
-    def bob_flips(cls):
-        return cls("bob_flips")
-
-    @classmethod
-    def intercept_resend(cls, target_qubit: int, basis: str = "computational"):
-        return cls("intercept_resend", target_qubit=target_qubit, basis=basis)
-
-    @classmethod
-    def ancilla_attack(cls, theta: float):
-        return cls("ancilla_attack", theta=theta)
-
 
 def _snap(p: float) -> Fraction:
     """Recover the exact rational a Born-rule enumeration converged to."""
@@ -130,22 +96,18 @@ def _snap(p: float) -> Fraction:
 
 
 def decode_distribution(op: EncodingOp) -> dict[DecodeKey, Fraction]:
-    """Exact joint outcome distribution of one message round, by enumeration."""
-    state = _honest_post_state(2, op, 2)
-    probs = outcome_distribution(state, (COMPUTATIONAL, COMPUTATIONAL, PLUS_MINUS))
-    return {
-        DecodeKey("eg"[b1] + "eg"[b2], SIGNS[s]): _snap(float(p))
-        for (b1, b2, s), p in np.ndenumerate(probs)
-    }
+    """Exact joint outcome distribution of one message round, keys in (pair, sign) order.
+
+    The honest round is a stabilizer circuit: it lands on the two
+    ``DECODE_TABLE`` keys of ``op`` with probability 1/2 each, never elsewhere.
+    """
+    keys = (DecodeKey(pair, sign) for pair in PAIRS for sign in SIGNS)
+    return {key: Fraction(1, 2) if DECODE_TABLE[key] == op else Fraction(0) for key in keys}
 
 
 def _joint_message_key() -> dict[tuple[EncodingOp, DecodeKey], Fraction]:
-    quarter = Fraction(1, 4)
-    joint = {}
-    for op in EncodingOp:
-        for key, p in decode_distribution(op).items():
-            joint[(op, key)] = quarter * p
-    return joint
+    # Uniform messages over decode_distribution: 1/8 on each DECODE_TABLE entry, 0 elsewhere.
+    return {(op, key): Fraction(1, 8) for key, op in DECODE_TABLE.items()}
 
 
 def solo_guess_probability(party: Role) -> Fraction:
@@ -326,8 +288,9 @@ class MessageStrategy(Strategy):
 
     ``outcomes(op, key)`` lists the equally likely results (True for a hit)
     of the adversary's own randomness, given Alice's operation and the true
-    decode key.  ``exact`` averages this function over the Born-rule
-    distribution and ``sample`` draws from it, so the two cannot disagree.
+    decode key.  ``exact`` averages this function over the closed-form joint
+    distribution and ``sample`` applies it to a simulated round, so the two
+    share every adversary rule.
     Message strategies take no model parameters.
     """
 

@@ -103,11 +103,6 @@ def encode(state: QuantumState, op: EncodingOp) -> QuantumState:
     return apply_gate(state, op.matrix, 1)
 
 
-# Earlier names of the two definitions above, still imported by the tests.
-prepare_ghz_n = prepare_ghz
-encode_on = encode
-
-
 def bob_interaction(
     state: QuantumState, pulse: PulseParams = CANONICAL_PULSE, qubits: tuple[int, int] = (1, 2)
 ) -> QuantumState:

@@ -231,13 +231,6 @@ def outcome_distribution(state: QuantumState, bases) -> np.ndarray:
     return probs.sum(axis=tuple(axis for axis, basis in enumerate(padded) if basis is None))
 
 
-def born_probabilities(state: QuantumState, qubit: int, basis: MeasurementBasis) -> tuple[float, float]:
-    """Probabilities of the two outcomes of measuring one qubit in the basis."""
-    axis = _check_qubit(state, qubit)
-    p0, p1 = outcome_distribution(state, [None] * axis + [basis])
-    return float(p0), float(p1)
-
-
 def _branches(state: QuantumState, axis: int, basis: MeasurementBasis):
     """Both outcome branches of one qubit: amplitudes, shape (before, 2, after), and probabilities.
 

@@ -30,22 +30,23 @@ from ghzdc.adversary import (
 from ghzdc.cli import MODEL_FLAGS
 from ghzdc.protocol import PAIRS, DecodeKey, EncodingOp, Role, decode, encode, prepare_ghz
 from ghzdc.qstate import QuantumState
+from oracles import born_decode_distribution
 
 
 class TestModels:
     def test_intercept_requires_transit_qubit(self):
         with pytest.raises(ValueError):
-            AdversaryModel.intercept_resend(1)
+            AdversaryModel("intercept_resend", target_qubit=1, basis="computational")
 
     def test_intercept_basis_checked(self):
         with pytest.raises(ValueError):
-            AdversaryModel.intercept_resend(2, "hadamard")
+            AdversaryModel("intercept_resend", target_qubit=2, basis="hadamard")
 
     def test_theta_range_checked(self):
         with pytest.raises(ValueError):
-            AdversaryModel.ancilla_attack(-0.1)
+            AdversaryModel("ancilla_attack", theta=-0.1)
         with pytest.raises(ValueError):
-            AdversaryModel.ancilla_attack(math.pi)
+            AdversaryModel("ancilla_attack", theta=math.pi)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -65,6 +66,14 @@ class TestDecodeDistribution:
             values = sorted(dist.values(), reverse=True)
             assert values[:2] == [Fraction(1, 2), Fraction(1, 2)]
             assert all(v == 0 for v in values[2:])
+
+    @pytest.mark.parametrize("op", list(EncodingOp))
+    def test_closed_form_equals_born_enumeration(self, op):
+        closed = decode_distribution(op)
+        born = born_decode_distribution(op)
+        assert list(closed) == list(born)
+        for key, p in closed.items():
+            assert abs(float(p) - born[key]) <= 1e-12, key
 
 
 class TestSoloGuess:
@@ -86,26 +95,26 @@ class TestSoloGuess:
 
 class TestCheatSuccess:
     def test_charlie_lying(self):
-        assert cheat_success(AdversaryModel.charlie_lies()) == Fraction(1, 2)
+        assert cheat_success(AdversaryModel("charlie_lies")) == Fraction(1, 2)
 
     def test_bob_lying(self):
-        assert cheat_success(AdversaryModel.bob_lies()) == Fraction(3, 4)
+        assert cheat_success(AdversaryModel("bob_lies")) == Fraction(3, 4)
 
     def test_honest_deceives_nobody(self):
-        assert cheat_success(AdversaryModel.honest()) == 0
+        assert cheat_success(AdversaryModel("honest")) == 0
 
     def test_receiver_cheats_better(self):
-        assert cheat_success(AdversaryModel.bob_lies()) > cheat_success(
-            AdversaryModel.charlie_lies()
+        assert cheat_success(AdversaryModel("bob_lies")) > cheat_success(
+            AdversaryModel("charlie_lies")
         )
 
     def test_flip_variants_always_mislead(self):
-        assert cheat_success(AdversaryModel.charlie_flips()) == 1
-        assert cheat_success(AdversaryModel.bob_flips()) == 1
+        assert cheat_success(AdversaryModel("charlie_flips")) == 1
+        assert cheat_success(AdversaryModel("bob_flips")) == 1
 
     def test_unsupported_model(self):
         with pytest.raises(ValueError):
-            cheat_success(AdversaryModel.intercept_resend(2))
+            cheat_success(AdversaryModel("intercept_resend", target_qubit=2, basis="computational"))
 
 
 class TestInterceptResend:
@@ -179,21 +188,21 @@ class TestAncillaAttack:
 class TestMonteCarlo:
     def test_round_floor(self):
         with pytest.raises(ValueError):
-            monte_carlo_confirm(AdversaryModel.honest(), 99, seed=0)
+            monte_carlo_confirm(AdversaryModel("honest"), 99, seed=0)
 
     def test_honest_never_deceived(self):
-        report = monte_carlo_confirm(AdversaryModel.honest(), 500, seed=3)
+        report = monte_carlo_confirm(AdversaryModel("honest"), 500, seed=3)
         assert report.analytic_success == 0.0
         assert report.empirical_success == 0.0
 
     @pytest.mark.parametrize(
         "model",
         [
-            AdversaryModel.bob_lies(),
-            AdversaryModel.charlie_lies(),
-            AdversaryModel.bob_alone_guess(),
-            AdversaryModel.charlie_alone_guess(),
-            AdversaryModel.intercept_resend(2),
+            AdversaryModel("bob_lies"),
+            AdversaryModel("charlie_lies"),
+            AdversaryModel("bob_alone_guess"),
+            AdversaryModel("charlie_alone_guess"),
+            AdversaryModel("intercept_resend", target_qubit=2, basis="computational"),
         ],
     )
     def test_empirical_matches_analytic(self, model):
@@ -201,13 +210,13 @@ class TestMonteCarlo:
         assert abs(report.empirical_success - report.analytic_success) <= 5 * report.std_error
 
     def test_ancilla_empirical_rate(self):
-        model = AdversaryModel.ancilla_attack(math.pi / 2)
+        model = AdversaryModel("ancilla_attack", theta=math.pi / 2)
         report = monte_carlo_confirm(model, 3000, seed=13)
         assert report.analytic_success == pytest.approx(0.25, abs=1e-10)
         assert abs(report.empirical_success - 0.25) <= 5 * report.std_error
 
     def test_report_serializes(self):
-        report = monte_carlo_confirm(AdversaryModel.bob_lies(), 200, seed=5)
+        report = monte_carlo_confirm(AdversaryModel("bob_lies"), 200, seed=5)
         d = report.to_json_dict()
         assert d["model"] == "bob_lies"
         assert d["rounds"] == 200
@@ -215,15 +224,15 @@ class TestMonteCarlo:
 
     def test_analytic_success_covers_all_models(self):
         for model in (
-            AdversaryModel.honest(),
-            AdversaryModel.bob_alone_guess(),
-            AdversaryModel.charlie_alone_guess(),
-            AdversaryModel.bob_lies(),
-            AdversaryModel.charlie_lies(),
-            AdversaryModel.bob_flips(),
-            AdversaryModel.charlie_flips(),
-            AdversaryModel.intercept_resend(3, "x"),
-            AdversaryModel.ancilla_attack(0.4),
+            AdversaryModel("honest"),
+            AdversaryModel("bob_alone_guess"),
+            AdversaryModel("charlie_alone_guess"),
+            AdversaryModel("bob_lies"),
+            AdversaryModel("charlie_lies"),
+            AdversaryModel("bob_flips"),
+            AdversaryModel("charlie_flips"),
+            AdversaryModel("intercept_resend", target_qubit=3, basis="x"),
+            AdversaryModel("ancilla_attack", theta=0.4),
         ):
             value = analytic_success(model)
             assert 0.0 <= value <= 1.0
@@ -235,9 +244,9 @@ class TestCachedRoundInputs:
     @pytest.mark.parametrize(
         "model,empirical",
         [
-            (AdversaryModel.bob_lies(), 0.7485),
-            (AdversaryModel.intercept_resend(2), 0.253),
-            (AdversaryModel.ancilla_attack(0.7854), 0.078),
+            (AdversaryModel("bob_lies"), 0.7485),
+            (AdversaryModel("intercept_resend", target_qubit=2, basis="computational"), 0.253),
+            (AdversaryModel("ancilla_attack", theta=0.7854), 0.078),
         ],
     )
     def test_adversary_mix_estimates_pinned(self, model, empirical):

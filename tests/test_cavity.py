@@ -20,8 +20,6 @@ import ghzdc
 from ghzdc.cavity import (
     CANONICAL_PULSE,
     MAX_FOCK,
-    S_MINUS,
-    S_PLUS,
     CavityParams,
     FockSpace,
     PulseParams,
@@ -29,16 +27,21 @@ from ghzdc.cavity import (
     _cavity_weights,
     _exchange_reflect,
     _exchange_split,
-    drive_hamiltonian,
-    effective_hamiltonian,
     effective_model_sweep,
     effective_unitary,
-    evolution_operator,
     full_hamiltonian,
     validate_effective_model,
 )
 from ghzdc.protocol import timing_error_fidelity
 from ghzdc.qstate import IDENTITY, SIGMA_X, SIGMA_Z
+from oracles import (
+    S_MINUS,
+    S_PLUS,
+    drive_hamiltonian,
+    effective_hamiltonian,
+    evolution_operator,
+    regime_ok,
+)
 
 SQ2 = 1 / np.sqrt(2)
 SWAP = np.eye(4)[[0, 2, 1, 3]]
@@ -128,6 +131,11 @@ def slot_major_validation(params, fock, pulse, initial_cavity=0, duration=None):
     return worst
 
 
+def thermal_weights(nbar, n_max):
+    """Geometric (thermal) photon-number weights nbar^n / (nbar + 1)^(n + 1), n = 0..n_max."""
+    return [nbar**n / (nbar + 1) ** (n + 1) for n in range(n_max + 1)]
+
+
 class TestCavityParams:
     def test_dispersive_coupling_value(self):
         p = CavityParams.resonant(g=2.0, delta=8.0, omega_rabi=100.0)
@@ -146,9 +154,9 @@ class TestCavityParams:
             CavityParams.resonant(g=1.0, delta=0.0, omega_rabi=1.0)
 
     def test_regime_flag(self):
-        assert params_for(10, 10).regime_ok()
-        assert not params_for(5, 20).regime_ok()
-        assert not params_for(20, 5).regime_ok()
+        assert regime_ok(params_for(10, 10))
+        assert not regime_ok(params_for(5, 20))
+        assert not regime_ok(params_for(20, 5))
 
     def test_negative_pulse_rejected(self):
         with pytest.raises(ValueError):
@@ -397,6 +405,18 @@ class TestValidateEffectiveModel:
         with pytest.warns(TruncationWarning):
             validate_effective_model(p, FockSpace(1), CANONICAL_PULSE, 1)
 
+    def test_thermal_mixture_leak_counts_weights(self):
+        """Thermal nbar = 1 holds ~4.5e-13 of its weight on level 40, so no warning fires."""
+        weights = thermal_weights(1.0, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            validate_effective_model(params_for(40, 40), FockSpace(40), CANONICAL_PULSE, weights)
+
+    def test_half_weight_on_top_level_warns(self):
+        weights = [0.5] + [0.0] * 39 + [0.5]
+        with pytest.warns(TruncationWarning, match="population 4.99e-01 reached Fock level 40"):
+            validate_effective_model(params_for(40, 40), FockSpace(40), CANONICAL_PULSE, weights)
+
     @pytest.mark.parametrize("n_max", [4, 8])
     @pytest.mark.parametrize("initial_cavity,duration", [
         (0, None), (1, None), ([0.5, 0.3, 0.2], None), (0, 2.5),
@@ -595,6 +615,31 @@ class TestSidebandLaw:
     def test_inverse_omega_slope(self, gaps):
         slope, _ = np.polyfit(np.log(self.RATIOS), np.log(gaps), 1)
         assert slope == pytest.approx(-1.0, rel=0.01)
+
+
+class TestFockThermalLaw:
+    """The full-model error at Fock n is (2n+1) (sqrt(2) pi/16) delta/Omega.
+
+    A thermal mixture of mean photon number nbar follows the same law with nbar
+    for n.  The coefficient is pinned as measured, to 0.5%, at delta/g = 40 and
+    Omega/delta = 40; TestSidebandLaw's sqrt(2) pi/8 per photon is its slope in n.
+    """
+
+    PARAMS = CavityParams.from_ratios(40.0, 40.0)
+    UNIT = np.sqrt(2) * np.pi / 16 / 40.0  # (sqrt(2) pi/16) delta/Omega
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_fock(self, n):
+        err = validate_effective_model(self.PARAMS, FockSpace(16), CANONICAL_PULSE, n)
+        assert err / ((2 * n + 1) * self.UNIT) == pytest.approx(1.0, abs=0.005)
+
+    @pytest.mark.parametrize("nbar", [0.05, 0.2, 0.5, 1.0])
+    def test_thermal(self, nbar):
+        weights = thermal_weights(nbar, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            err = validate_effective_model(self.PARAMS, FockSpace(40), CANONICAL_PULSE, weights)
+        assert err / ((2 * nbar + 1) * self.UNIT) == pytest.approx(1.0, abs=0.005)
 
 
 class TestBlasThreadDefault:

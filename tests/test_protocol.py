@@ -27,10 +27,8 @@ from ghzdc.protocol import (
     decode_n,
     decode_table,
     encode,
-    encode_on,
     parity_accept_set,
     prepare_ghz,
-    prepare_ghz_n,
     round_rng,
     run_rounds,
     run_session,
@@ -41,10 +39,10 @@ from ghzdc.qstate import (
     PLUS_MINUS,
     Y_BASIS,
     QuantumState,
-    born_probabilities,
     global_phase_equal,
     outcome_distribution,
 )
+from oracles import born_probabilities
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -111,10 +109,10 @@ class TestPrepareGhz:
             assert p0 == pytest.approx(0.5, abs=1e-10)
 
     def test_n_user_reduction(self):
-        assert prepare_ghz_n(2).allclose(prepare_ghz())
+        assert prepare_ghz(2).allclose(prepare_ghz())
 
     def test_n_user_structure(self):
-        s = prepare_ghz_n(5)
+        s = prepare_ghz(5)
         assert s.num_qubits == 6
         assert np.count_nonzero(s.amplitudes) == 2
         assert s.norm() == pytest.approx(1.0, abs=1e-12)
@@ -122,7 +120,7 @@ class TestPrepareGhz:
     @pytest.mark.parametrize("n", [1, 12])
     def test_n_user_range(self, n):
         with pytest.raises(ValueError):
-            prepare_ghz_n(n)
+            prepare_ghz(n)
 
     @pytest.mark.parametrize("n", [2, 5, 11])
     def test_one_shared_read_only_state(self, n):
@@ -159,13 +157,13 @@ class TestEncode:
 class TestBobInteraction:
     @pytest.mark.parametrize("op", list(EncodingOp))
     def test_canonical_pulse_reaches_decodable_state(self, op):
-        out = bob_interaction(encode_on(prepare_ghz(), op))
+        out = bob_interaction(encode(prepare_ghz(), op))
         assert global_phase_equal(out, POST_INTERACTION[op], 1e-10)
 
     def test_zero_pulse_is_identity(self):
         from ghzdc.cavity import PulseParams
 
-        s = encode_on(prepare_ghz(), EncodingOp.SIGMA_X)
+        s = encode(prepare_ghz(), EncodingOp.SIGMA_X)
         assert bob_interaction(s, PulseParams(0, 0)).allclose(s, tol=1e-12)
 
     def test_small_register_rejected(self):
@@ -195,7 +193,7 @@ class TestDecodeTable:
     @pytest.mark.parametrize("op", list(EncodingOp))
     def test_born_rule_enumeration(self, op):
         """Each encoding puts probability 1/2 on its two keys and 0 elsewhere."""
-        probs = key_probabilities(bob_interaction(encode_on(prepare_ghz(), op)))
+        probs = key_probabilities(bob_interaction(encode(prepare_ghz(), op)))
         for key, p in probs.items():
             target = 0.5 if key in VALID_KEYS[op] else 0.0
             assert p == pytest.approx(target, abs=1e-10)
@@ -211,7 +209,7 @@ class TestDecodeTable:
     def test_sign_marginal_is_encoding_independent(self):
         """The third party's +/- marginal is exactly 1/2 whatever the message."""
         for op in EncodingOp:
-            state = bob_interaction(encode_on(prepare_ghz(), op))
+            state = bob_interaction(encode(prepare_ghz(), op))
             p_plus, p_minus = born_probabilities(state, 3, PLUS_MINUS)
             assert p_plus == pytest.approx(0.5, abs=1e-10)
 
@@ -408,7 +406,7 @@ class TestDecodeNOracle:
     def test_multi_user_enumeration(self):
         """Four-qubit enumeration confirms the parity decoding rule from scratch."""
         for op in EncodingOp:
-            state = bob_interaction(encode_on(prepare_ghz_n(3), op))
+            state = bob_interaction(encode(prepare_ghz(3), op))
             tensor = state.amplitudes.reshape(2, 2, 2, 2)
             comp = {0: np.array([1.0, 0]), 1: np.array([0, 1.0])}
             sign_vecs = {"+": np.array([SQ2, SQ2]), "-": np.array([SQ2, -SQ2])}

@@ -25,13 +25,13 @@ from ghzdc.qstate import (
     apply_gate,
     apply_two_qubit,
     basis_amplitudes,
-    born_probabilities,
     collapse,
     fidelity,
     global_phase_equal,
     measure,
     outcome_distribution,
 )
+from oracles import born_probabilities
 
 SQ2 = 1 / np.sqrt(2)
 
