@@ -140,6 +140,10 @@ def cheat_success(model: AdversaryModel) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+# Outcome parity of the three measured parties, indexed by their results.
+_PARITY = np.indices((2, 2, 2)).sum(axis=0) % 2
+
+
 def check_violation_rate(state: QuantumState) -> float:
     """Per-check-round probability of landing in the accept set with bad parity.
 
@@ -152,11 +156,8 @@ def check_violation_rate(state: QuantumState) -> float:
     for combo, expected in accept.items():
         probs = outcome_distribution(state, [CHECK_BASES[label] for label in combo])
         # Outcomes below 1e-12 are float residue of zero amplitudes, so states
-        # that pass every check exactly report a rate of exactly zero.  The sum runs
-        # in index order, which fixes its float rounding.
-        total += combo_weight * sum(
-            float(p) for bits, p in np.ndenumerate(probs) if p > 1e-12 and sum(bits) % 2 != expected
-        )
+        # that pass every check exactly report a rate of exactly zero.
+        total += combo_weight * float(probs[(_PARITY != expected) & (probs > 1e-12)].sum())
     return total
 
 

@@ -48,19 +48,16 @@ def _require_finite(params) -> None:
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Physical parameters of the driven atoms-cavity system.
+    """Rates of the driven atoms-cavity system: coupling, detuning and drive.
 
-    ``delta`` is the atom-cavity detuning ``omega0 - omega_a`` and must be
-    positive (dispersive regime sign choice); the drive is resonant with
-    the atoms when ``omega_drive == omega0``.
+    ``g`` is the atom-cavity coupling and ``delta`` the atom-cavity detuning,
+    which must be positive (dispersive regime sign choice).  The classical
+    drive of Rabi frequency ``omega_rabi`` is resonant with the atoms.
     """
 
     g: float
     delta: float
     omega_rabi: float
-    omega0: float
-    omega_a: float
-    omega_drive: float
 
     def __post_init__(self):
         _require_finite(self)
@@ -70,22 +67,12 @@ class CavityParams:
             raise ValueError("detuning delta must be > 0")
         if self.omega_rabi < 0:
             raise ValueError("Rabi frequency must be >= 0")
-        scale = max(abs(self.omega0), abs(self.omega_a), 1.0)
-        if abs((self.omega0 - self.omega_a) - self.delta) > 1e-9 * scale:
-            raise ValueError("delta must equal omega0 - omega_a")
 
     @classmethod
-    def resonant(cls, g: float, delta: float, omega_rabi: float, omega_a: float = 0.0) -> "CavityParams":
-        """Parameters with the classical drive locked to the atomic transition."""
-        omega0 = omega_a + delta
-        return cls(g=g, delta=delta, omega_rabi=omega_rabi,
-                   omega0=omega0, omega_a=omega_a, omega_drive=omega0)
-
-    @classmethod
-    def from_ratios(cls, delta_over_g: float, omega_over_delta: float, g: float = 1.0) -> "CavityParams":
-        """Resonant-drive parameters from the two dimensionless regime ratios."""
-        delta = delta_over_g * g
-        return cls.resonant(g=g, delta=delta, omega_rabi=omega_over_delta * delta)
+    def from_ratios(cls, delta_over_g: float, omega_over_delta: float) -> "CavityParams":
+        """Parameters at unit coupling g from the two dimensionless regime ratios."""
+        delta = float(delta_over_g)
+        return cls(g=1.0, delta=delta, omega_rabi=omega_over_delta * delta)
 
     @property
     def dispersive_coupling(self) -> float:
@@ -175,18 +162,15 @@ def effective_unitary(pulse: PulseParams) -> np.ndarray:
 def full_hamiltonian(params: CavityParams, fock: FockSpace) -> np.ndarray:
     """Driven two-atom Tavis-Cummings generator in the drive rotating frame.
 
-    Ordering is atoms (x) cavity with the atom pair index major.  In this
-    frame the bare terms become (omega0 - omega_drive) Sz and
-    (omega_a - omega_drive) n, so a resonant drive leaves ``-delta n`` plus
-    the exchange coupling and the now-static drive.  Every matrix element is
-    real, so the generator is returned as a real symmetric ``float64`` array.
+    Ordering is atoms (x) cavity with the atom pair index major.  The drive is
+    resonant with the atoms, so in this frame the bare terms leave ``-delta n``
+    on every pair state, plus the exchange coupling and the now-static drive.
+    Every matrix element is real, so the generator is returned as a real
+    symmetric ``float64`` array.
     """
     nc = fock.levels
     n = np.arange(nc)
-    sz = np.array([1.0, 0.0, 0.0, -1.0])  # (sz_1 + sz_2) / 2 on |ee>, |eg>, |ge>, |gg>
-    bare = (params.omega0 - params.omega_drive) * sz[:, None]
-    bare = bare + (params.omega_a - params.omega_drive) * n
-    h = np.diag(bare.ravel())
+    h = np.diag(np.tile(-params.delta * n.astype(float), 4))
     exchange = params.g * np.sqrt(n[1:])
     for pair in range(4):
         for bit in (2, 1):  # atom 1 is the most significant bit of the pair index
@@ -259,28 +243,23 @@ def validate_effective_model(
     fock: FockSpace,
     pulse: PulseParams,
     initial_cavity=0,
-    duration: float | None = None,
 ) -> float:
     """Worst-case trace distance between full-model and closed-form atom outputs.
 
-    The full model runs for ``t = pulse.lambda_t / lambda`` (or the explicit
-    ``duration``), the cavity (Fock state or classical mixture of Fock
-    states) is traced out, and each of the four computational atom inputs is
-    compared against the prediction of ``effective_unitary`` for the pulse
-    actually realized in that time.  Emits ``TruncationWarning`` when, for any
-    atom input, more than 1e-6 of the population lands on the top retained
-    level, each cavity Fock branch counted at its mixture weight.
-    Raises ``ValueError`` when float64 cannot resolve the phases, i.e. when
-    ``eps * max|E| * t`` exceeds ``MAX_PHASE_ERROR``.
+    The full model runs for ``t = pulse.lambda_t / lambda``, the cavity (Fock
+    state or classical mixture of Fock states) is traced out, and each of the
+    four computational atom inputs is compared against the prediction of
+    ``effective_unitary`` for the pulse actually realized in that time.  Emits
+    ``TruncationWarning`` when, for any atom input, more than 1e-6 of the
+    population lands on the top retained level, each cavity Fock branch
+    counted at its mixture weight.  Raises ``ValueError`` when float64 cannot
+    resolve the phases, i.e. when ``eps * max|E| * t`` exceeds
+    ``MAX_PHASE_ERROR``, and when lambda is zero but the coupling angle is not.
     """
     lam = params.dispersive_coupling
-    if duration is None:
-        if lam == 0.0:
-            if pulse.lambda_t != 0.0:
-                raise ValueError("lambda is zero: a nonzero coupling angle needs an explicit duration")
-            duration = 0.0
-        else:
-            duration = pulse.lambda_t / lam
+    if lam == 0.0 and pulse.lambda_t != 0.0:
+        raise ValueError("lambda is zero: no duration realizes a nonzero coupling angle")
+    duration = pulse.lambda_t / lam if lam else 0.0
 
     levels = fock.levels
     weights = _cavity_weights(initial_cavity, levels)
@@ -288,7 +267,7 @@ def validate_effective_model(
     # Atom exchange commutes with the generator, and the singlet (|eg> - |ge>)/sqrt2
     # is dark to cavity and drive alike: in the pair basis (ee, T0, S, gg) the
     # generator splits into a triplet block on pair slots 0, 1, 3 (3 * levels
-    # dimensions) and a diagonal singlet block on slot 2, (omega_a - omega_drive) n.
+    # dimensions) and a diagonal singlet block on slot 2, -delta n.
     block, singlet_energies = _exchange_split(full_hamiltonian(params, fock), fock_in)
     energies, modes = np.linalg.eigh(block)
     top = max(np.abs(energies).max(), np.abs(singlet_energies).max())

@@ -46,17 +46,12 @@ class QuantumState:
 
     __slots__ = ("num_qubits", "_amps")
 
-    def __init__(self, amplitudes, *, normalize: bool = False):
+    def __init__(self, amplitudes):
         amps = np.array(amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
             raise ValueError(f"amplitude vector length {amps.size} is not a power of two >= 2")
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
-        if normalize:
-            norm = np.linalg.norm(amps)
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            amps /= norm
         amps.setflags(write=False)
         self.num_qubits = int(amps.size).bit_length() - 1
         self._amps = amps
@@ -91,9 +86,6 @@ class QuantumState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self._amps))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self._amps) ** 2
 
     def allclose(self, other: "QuantumState", tol: float = TOL_EQ) -> bool:
         return (

@@ -107,7 +107,7 @@ def test_criterion_2_evolvement_matches_exponential_oracle():
     worst = 0.0
     for lt in np.linspace(0.0, 2 * np.pi, 20):
         for ot in np.linspace(0.0, 2 * np.pi, 20):
-            params = CavityParams.resonant(
+            params = CavityParams(
                 g=np.sqrt(2.0 * lt) if lt > 0 else 0.0, delta=1.0, omega_rabi=ot
             )
             oracle = expm(-1j * drive_hamiltonian(params)) @ expm(

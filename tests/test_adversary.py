@@ -28,7 +28,16 @@ from ghzdc.adversary import (
     solo_guess_probability,
 )
 from ghzdc.cli import MODEL_FLAGS
-from ghzdc.protocol import PAIRS, DecodeKey, EncodingOp, Role, decode, encode, prepare_ghz
+from ghzdc.protocol import (
+    PAIRS,
+    DecodeKey,
+    EncodingOp,
+    Role,
+    decode,
+    encode,
+    parity_accept_set,
+    prepare_ghz,
+)
 from ghzdc.qstate import QuantumState
 from oracles import born_decode_distribution
 
@@ -129,6 +138,17 @@ class TestInterceptResend:
     def test_bad_arguments_raise_value_error(self, target, basis):
         with pytest.raises(ValueError):
             intercept_resend_detection(target, basis)
+
+    @pytest.mark.parametrize("target", [2, 3])
+    @pytest.mark.parametrize("basis, label, expected", [
+        ("computational", "Z", Fraction(1, 4)), ("x", "X", Fraction(1, 8)), ("y", "Y", Fraction(1, 8)),
+    ])
+    def test_counts_accept_set_basis_mismatches(self, target, basis, label, expected):
+        """Detection is the number of accept-set combinations whose basis at the target
+        differs from the intercept basis, over 16: each such combination has weight 1/8
+        and violates with probability 1/2, and the others never violate."""
+        mismatches = sum(combo[target - 1] != label for combo in parity_accept_set(3))
+        assert intercept_resend_detection(target, basis) == Fraction(mismatches, 16) == expected
 
     def test_share_exchange_symmetry(self):
         for basis in ("computational", "x", "y"):

@@ -33,7 +33,7 @@ from ghzdc.cavity import (
     validate_effective_model,
 )
 from ghzdc.protocol import timing_error_fidelity
-from ghzdc.qstate import IDENTITY, SIGMA_X, SIGMA_Z
+from ghzdc.qstate import IDENTITY, SIGMA_X
 from oracles import (
     S_MINUS,
     S_PLUS,
@@ -45,10 +45,19 @@ from oracles import (
 
 SQ2 = 1 / np.sqrt(2)
 SWAP = np.eye(4)[[0, 2, 1, 3]]
+# A resonant-drive point that from_ratios never gives: g != 1.
+GENERIC = CavityParams(g=0.7, delta=3.0, omega_rabi=11.0)
 
 
-def params_for(delta_over_g=10.0, omega_over_delta=20.0, g=1.0):
-    return CavityParams.from_ratios(delta_over_g, omega_over_delta, g)
+def params_for(delta_over_g=10.0, omega_over_delta=20.0):
+    return CavityParams.from_ratios(delta_over_g, omega_over_delta)
+
+
+def pulse_for(params, duration):
+    """The canonical pulse, or the pulse that runs ``params`` for an explicit ``duration``."""
+    if duration is None:
+        return CANONICAL_PULSE
+    return PulseParams(params.dispersive_coupling * duration, params.omega_rabi * duration)
 
 
 def kron_chain_hamiltonian(params, fock):
@@ -61,9 +70,7 @@ def kron_chain_hamiltonian(params, fock):
     def on_atom(op, j):
         return np.kron(op, IDENTITY) if j == 0 else np.kron(IDENTITY, op)
 
-    sz = 0.5 * (on_atom(SIGMA_Z, 0) + on_atom(SIGMA_Z, 1))
-    h = (params.omega0 - params.omega_drive) * np.kron(sz, eye_cav)
-    h = h + (params.omega_a - params.omega_drive) * np.kron(np.eye(4), raise_ @ lower)
+    h = -params.delta * np.kron(np.eye(4), raise_ @ lower)
     for j in (0, 1):
         h = h + params.g * (
             np.kron(on_atom(S_MINUS, j), raise_) + np.kron(on_atom(S_PLUS, j), lower)
@@ -72,10 +79,10 @@ def kron_chain_hamiltonian(params, fock):
     return h
 
 
-def dense_expm_validation(params, fock, pulse, weights, duration=None):
+def dense_expm_validation(params, fock, pulse, weights):
     """Reference validation error: full propagator from scipy's expm, every branch kept."""
     lam = params.dispersive_coupling
-    t = pulse.lambda_t / lam if duration is None else duration
+    t = pulse.lambda_t / lam
     closed = effective_unitary(PulseParams(lam * t, params.omega_rabi * t))
     u = expm(-1j * kron_chain_hamiltonian(params, fock) * t)
     levels = fock.levels
@@ -92,7 +99,7 @@ def dense_expm_validation(params, fock, pulse, weights, duration=None):
     return worst
 
 
-def slot_major_validation(params, fock, pulse, initial_cavity=0, duration=None):
+def slot_major_validation(params, fock, pulse, initial_cavity=0):
     """Reference validation error: the triplet block in slot-major order, complex propagation.
 
     The generator is reflected in place to the pair basis (ee, T0, S, gg), the
@@ -101,7 +108,7 @@ def slot_major_validation(params, fock, pulse, initial_cavity=0, duration=None):
     density matrix and trace distance.
     """
     lam = params.dispersive_coupling
-    t = pulse.lambda_t / lam if duration is None else duration
+    t = pulse.lambda_t / lam
     u_eff = effective_unitary(PulseParams(lam * t, params.omega_rabi * t))
     levels = fock.levels
     weights = _cavity_weights(initial_cavity, levels)
@@ -138,20 +145,12 @@ def thermal_weights(nbar, n_max):
 
 class TestCavityParams:
     def test_dispersive_coupling_value(self):
-        p = CavityParams.resonant(g=2.0, delta=8.0, omega_rabi=100.0)
+        p = CavityParams(g=2.0, delta=8.0, omega_rabi=100.0)
         assert p.dispersive_coupling == 2.0 * 2.0 / (2 * 8.0)
-
-    def test_resonant_construction_locks_drive(self):
-        p = CavityParams.resonant(g=1.0, delta=10.0, omega_rabi=200.0, omega_a=5.0)
-        assert p.omega_drive == p.omega0 == 15.0
-
-    def test_delta_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            CavityParams(g=1, delta=5, omega_rabi=1, omega0=10, omega_a=2, omega_drive=10)
 
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(ValueError):
-            CavityParams.resonant(g=1.0, delta=0.0, omega_rabi=1.0)
+            CavityParams(g=1.0, delta=0.0, omega_rabi=1.0)
 
     def test_regime_flag(self):
         assert regime_ok(params_for(10, 10))
@@ -163,12 +162,9 @@ class TestCavityParams:
             PulseParams(-0.1, 0.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize(
-        "field", ["g", "delta", "omega_rabi", "omega0", "omega_a", "omega_drive"]
-    )
+    @pytest.mark.parametrize("field", ["g", "delta", "omega_rabi"])
     def test_non_finite_cavity_field_rejected(self, field, bad):
-        values = {"g": 1.0, "delta": 10.0, "omega_rabi": 200.0,
-                  "omega0": 10.0, "omega_a": 0.0, "omega_drive": 10.0}
+        values = {"g": 1.0, "delta": 10.0, "omega_rabi": 200.0}
         values[field] = bad
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             CavityParams(**values)
@@ -198,7 +194,7 @@ class TestEffectiveUnitary:
     def test_matches_exponential_oracle_at_arbitrary_pulse(self):
         pulse = PulseParams(0.3, 1.1)
         # Realize the pulse with t = 1 so the angles are the rates themselves.
-        p = CavityParams.resonant(g=np.sqrt(2 * 0.3), delta=1.0, omega_rabi=1.1)
+        p = CavityParams(g=np.sqrt(2 * 0.3), delta=1.0, omega_rabi=1.1)
         oracle = expm(-1j * drive_hamiltonian(p)) @ expm(-1j * effective_hamiltonian(p))
         assert np.max(np.abs(effective_unitary(pulse) - oracle)) < 1e-10
 
@@ -256,8 +252,8 @@ class TestGenerators:
 
     def test_quadratic_scaling_in_coupling(self):
         """At fixed detuning, doubling the coupling quadruples the generator."""
-        base = effective_hamiltonian(CavityParams.resonant(g=1.0, delta=10.0, omega_rabi=200.0))
-        doubled = effective_hamiltonian(CavityParams.resonant(g=2.0, delta=10.0, omega_rabi=200.0))
+        base = effective_hamiltonian(CavityParams(g=1.0, delta=10.0, omega_rabi=200.0))
+        doubled = effective_hamiltonian(CavityParams(g=2.0, delta=10.0, omega_rabi=200.0))
         assert np.max(np.abs(doubled - 4.0 * base)) < 1e-12
 
     def test_exchange_matrix_element(self):
@@ -285,7 +281,7 @@ class TestGenerators:
         assert np.max(np.abs(np.sort(eigs) - expected)) < 1e-9
 
     def test_zero_drive_is_zero_matrix(self):
-        p = CavityParams.resonant(g=1.0, delta=10.0, omega_rabi=0.0)
+        p = CavityParams(g=1.0, delta=10.0, omega_rabi=0.0)
         assert np.max(np.abs(drive_hamiltonian(p))) == 0.0
 
     def test_full_drive_angle_closes_rotation(self):
@@ -332,7 +328,7 @@ class TestFullHamiltonian:
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
     def test_decoupled_limit_is_diagonal(self):
-        p = CavityParams.resonant(g=0.0, delta=10.0, omega_rabi=0.0)
+        p = CavityParams(g=0.0, delta=10.0, omega_rabi=0.0)
         h = full_hamiltonian(p, FockSpace(3))
         assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-14
         # Bare cavity detuning in the rotating frame: -delta per photon.
@@ -352,7 +348,7 @@ class TestFullHamiltonian:
     def test_single_excitation_matrix_element(self):
         """<gg, n+1| H |eg, n> = g sqrt(n+1) from the ladder algebra."""
         g = 1.7
-        p = CavityParams.resonant(g=g, delta=10.0, omega_rabi=200.0)
+        p = CavityParams(g=g, delta=10.0, omega_rabi=200.0)
         fock = FockSpace(6)
         nc = fock.levels
         h = full_hamiltonian(p, fock)
@@ -371,8 +367,7 @@ class TestFullHamiltonian:
             FockSpace(MAX_FOCK + 1)
 
     @pytest.mark.parametrize("n_max", [4, 8])
-    @pytest.mark.parametrize("params", [params_for(), CavityParams(
-        g=0.7, delta=3.0, omega_rabi=11.0, omega0=5.0, omega_a=2.0, omega_drive=4.5)])
+    @pytest.mark.parametrize("params", [params_for(), GENERIC, CavityParams(g=1, delta=3, omega_rabi=11)])
     def test_real_symmetric_and_equal_to_kron_chain(self, params, n_max):
         fock = FockSpace(n_max)
         h = full_hamiltonian(params, fock)
@@ -382,17 +377,9 @@ class TestFullHamiltonian:
 
 
 class TestValidateEffectiveModel:
-    def test_decoupled_atoms_have_zero_error(self):
-        """With g = 0 both models are pure drive rotations for any cavity state."""
-        p = CavityParams.resonant(g=0.0, delta=10.0, omega_rabi=37.0)
-        for cavity in (0, 2, [0.5, 0.25, 0.25]):
-            err = validate_effective_model(
-                p, FockSpace(4), PulseParams(0.0, 0.0), cavity, duration=0.83
-            )
-            assert err < 1e-12
-
     def test_zero_coupling_angle_without_duration(self):
-        p = CavityParams.resonant(g=0.0, delta=10.0, omega_rabi=37.0)
+        """At g = 0 no duration realizes a nonzero coupling angle."""
+        p = CavityParams(g=0.0, delta=10.0, omega_rabi=37.0)
         with pytest.raises(ValueError):
             validate_effective_model(p, FockSpace(4), PulseParams(0.1, 0.0), 0)
 
@@ -401,7 +388,7 @@ class TestValidateEffectiveModel:
         assert err < 0.05
 
     def test_truncation_warning_fires(self):
-        p = CavityParams.resonant(g=1.0, delta=2.0, omega_rabi=4.0)
+        p = CavityParams(g=1.0, delta=2.0, omega_rabi=4.0)
         with pytest.warns(TruncationWarning):
             validate_effective_model(p, FockSpace(1), CANONICAL_PULSE, 1)
 
@@ -431,8 +418,8 @@ class TestValidateEffectiveModel:
             weights[: len(initial_cavity)] = initial_cavity
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)  # n_max 4 is meant to truncate
-            err = validate_effective_model(p, fock, CANONICAL_PULSE, initial_cavity, duration)
-        expected = dense_expm_validation(p, fock, CANONICAL_PULSE, weights, duration)
+            err = validate_effective_model(p, fock, pulse_for(p, duration), initial_cavity)
+        expected = dense_expm_validation(p, fock, pulse_for(p, duration), weights)
         assert abs(err - expected) < 1e-10
 
     @pytest.mark.parametrize("weights", [[float("nan"), 1.0], [0.5, float("inf")]])
@@ -455,8 +442,6 @@ class TestValidateEffectiveModel:
         assert all(0.0 <= pt.error <= 1.0 for pt in points)
 
 
-OFF_RESONANT = CavityParams(g=0.7, delta=3.0, omega_rabi=11.0, omega0=5.0, omega_a=2.0,
-                            omega_drive=4.5)
 
 
 class TestExchangeSplit:
@@ -472,7 +457,7 @@ class TestExchangeSplit:
                          (rows[:, :, 1] - rows[:, :, 2]) * s, rows[:, :, 3]], axis=2)
         return both.reshape(4 * levels, 4 * levels)
 
-    @pytest.mark.parametrize("params", [params_for(), OFF_RESONANT])
+    @pytest.mark.parametrize("params", [params_for(), GENERIC])
     @pytest.mark.parametrize("n_max", [1, 8])
     def test_singlet_couples_to_nothing(self, params, n_max):
         levels = n_max + 1
@@ -482,10 +467,10 @@ class TestExchangeSplit:
         rotated[singlet, singlet] = 0.0
         assert not rotated[singlet].any()
         assert not rotated[:, singlet].any()
-        expected = (params.omega_a - params.omega_drive) * np.arange(levels)
+        expected = -params.delta * np.arange(levels)
         np.testing.assert_allclose(energies, expected, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("params", [params_for(), OFF_RESONANT])
+    @pytest.mark.parametrize("params", [params_for(), GENERIC])
     @pytest.mark.parametrize("n_max", [1, 6])
     @pytest.mark.parametrize("initial_cavity,duration", [
         (0, None), (1, None), ([0.6, 0.4], None), (0, 2.5),
@@ -499,15 +484,15 @@ class TestExchangeSplit:
             weights[: len(initial_cavity)] = initial_cavity
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)  # n_max 1 is meant to truncate
-            err = validate_effective_model(params, fock, CANONICAL_PULSE, initial_cavity, duration)
-        expected = dense_expm_validation(params, fock, CANONICAL_PULSE, weights, duration)
+            err = validate_effective_model(params, fock, pulse_for(params, duration), initial_cavity)
+        expected = dense_expm_validation(params, fock, pulse_for(params, duration), weights)
         assert abs(err - expected) < 1e-10
 
 
 class TestPhotonMajorBlock:
     """The triplet block is gathered photon-major and propagated in real arithmetic."""
 
-    @pytest.mark.parametrize("params", [params_for(), OFF_RESONANT])
+    @pytest.mark.parametrize("params", [params_for(), GENERIC])
     @pytest.mark.parametrize("n_max", [1, 8])
     def test_block_equals_reordered_elementwise_rotation(self, params, n_max):
         levels = n_max + 1
@@ -548,8 +533,9 @@ class TestPhaseResolution:
             validate_effective_model(params, FockSpace(8), pulse, 0)
 
     def test_explicit_duration_is_bounded_too(self):
+        params = params_for()
         with pytest.raises(ValueError, match="exceeds"):
-            validate_effective_model(params_for(), FockSpace(8), CANONICAL_PULSE, 0, duration=1e12)
+            validate_effective_model(params, FockSpace(8), pulse_for(params, 1e12), 0)
 
     def test_far_from_dispersive_is_still_evaluated(self):
         """delta/g = 1e-300 is far from the effective model but has short, resolvable phases."""

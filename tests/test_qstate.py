@@ -45,7 +45,7 @@ def ghz_state() -> QuantumState:
 
 def random_state(rng, n) -> QuantumState:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return QuantumState(amps, normalize=True)
+    return QuantumState(amps / np.linalg.norm(amps))
 
 
 def random_unitary(rng, dim) -> np.ndarray:

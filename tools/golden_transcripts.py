@@ -81,6 +81,12 @@ def invocations(config_path: Path) -> dict[str, list[str]]:
             "physics-sweep", "--delta-over-g", "10,20,40", "--omega-over-delta", "20",
             "--n-max", "8", "--cavity-fock", str(fock), "--format", "csv",
         ]
+    # The benchmark's physics-sweep grid, at the truncation it times.
+    for fock in (0, 1):
+        runs[f"physics-sweep-n96-fock{fock}.jsonl"] = [
+            "physics-sweep", "--delta-over-g", ",".join(str(d) for d in range(10, 81, 2)),
+            "--omega-over-delta", "20", "--n-max", "96", "--cavity-fock", str(fock),
+        ]
     runs["timing-sweep.jsonl"] = ["timing-sweep", "--epsilon-grid=-0.05:0.05:21"]
     for n_users in (2, 3, 7, 11):
         runs[f"decode-table-n{n_users}.jsonl"] = ["decode-table", "--n-users", str(n_users)]
