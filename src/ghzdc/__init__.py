@@ -16,7 +16,6 @@ from .cavity import (
     FockSpace,
     PulseParams,
     TruncationWarning,
-    effective_model_sweep,
     effective_unitary,
     full_hamiltonian,
     validate_effective_model,
@@ -40,7 +39,6 @@ from .protocol import (
     SessionRecord,
     bob_interaction,
     decode,
-    decode_n,
     decode_table,
     encode,
     parity_accept_set,

@@ -36,7 +36,6 @@ from .protocol import (
     Role,
     _honest_post_state,
     bob_interaction,
-    decode,
     measure_decode,
     parity_accept_set,
     prepare_ghz,
@@ -103,11 +102,6 @@ def decode_distribution(op: EncodingOp) -> dict[DecodeKey, Fraction]:
     """
     keys = (DecodeKey(pair, sign) for pair in PAIRS for sign in SIGNS)
     return {key: Fraction(1, 2) if DECODE_TABLE[key] == op else Fraction(0) for key in keys}
-
-
-def _joint_message_key() -> dict[tuple[EncodingOp, DecodeKey], Fraction]:
-    # Uniform messages over decode_distribution: 1/8 on each DECODE_TABLE entry, 0 elsewhere.
-    return {(op, key): Fraction(1, 8) for key, op in DECODE_TABLE.items()}
 
 
 def solo_guess_probability(party: Role) -> Fraction:
@@ -289,9 +283,9 @@ class MessageStrategy(Strategy):
 
     ``outcomes(op, key)`` lists the equally likely results (True for a hit)
     of the adversary's own randomness, given Alice's operation and the true
-    decode key.  ``exact`` averages this function over the closed-form joint
-    distribution and ``sample`` applies it to a simulated round, so the two
-    share every adversary rule.
+    decode key.  ``exact`` averages this function over uniform messages and
+    each message's ``decode_distribution``, and ``sample`` applies it to a
+    simulated round, so the two share every adversary rule.
     Message strategies take no model parameters.
     """
 
@@ -299,10 +293,11 @@ class MessageStrategy(Strategy):
 
     def exact(self, model: AdversaryModel | None = None) -> Fraction:
         total = Fraction(0)
-        for (op, key), p in _joint_message_key().items():
-            results = self.outcomes(op, key)
-            total += p * Fraction(sum(results), len(results))
-        return total
+        for op in EncodingOp:
+            for key, p in decode_distribution(op).items():
+                results = self.outcomes(op, key)
+                total += p * Fraction(sum(results), len(results))
+        return total / len(EncodingOp)
 
     def sample(self, model: AdversaryModel, rng: np.random.Generator) -> bool:
         """One message round with a uniformly random message; True on a hit."""
@@ -333,7 +328,7 @@ def _report_cheat(flag: str, field: str, exclude_truth: bool) -> MessageStrategy
     def outcomes(op: EncodingOp, key: DecodeKey) -> tuple[bool, ...]:
         truth = getattr(key, field)
         return tuple(
-            decode(replace(key, **{field: report})) != op
+            DECODE_TABLE[replace(key, **{field: report})] != op
             for report in alphabet
             if not (exclude_truth and report == truth)
         )
@@ -347,17 +342,15 @@ def _solo_guess(flag: str, field: str) -> MessageStrategy:
 
     @functools.cache
     def guess(view: str) -> EncodingOp:
-        weights = {op: Fraction(0) for op in EncodingOp}  # bits order: max keeps the first
-        for (op, key), p in _joint_message_key().items():
-            if getattr(key, field) == view:
-                weights[op] += p
-        return max(weights, key=weights.__getitem__)
+        # Uniform messages: the posterior is the likelihood; max keeps the first in bits order.
+        return max(EncodingOp, key=lambda op: sum(
+            p for key, p in decode_distribution(op).items() if getattr(key, field) == view))
 
     return MessageStrategy(lambda op, key: (guess(getattr(key, field)) == op,), flag=flag)
 
 
 CHEATS = {
-    "honest": MessageStrategy(lambda op, key: (decode(key) != op,), flag="honest"),
+    "honest": MessageStrategy(lambda op, key: (DECODE_TABLE[key] != op,), flag="honest"),
     "charlie_lies": _report_cheat("charlie-lies", "sign", exclude_truth=False),
     "bob_lies": _report_cheat("bob-lies", "pair", exclude_truth=False),
     "charlie_flips": _report_cheat("charlie-flips", "sign", exclude_truth=True),

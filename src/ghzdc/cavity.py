@@ -308,26 +308,3 @@ def validate_effective_model(
         )
     return float(distances.max())
 
-
-@dataclass(frozen=True)
-class SweepPoint:
-    delta_over_g: float
-    omega_over_delta: float
-    n_max: int
-    error: float
-
-
-def effective_model_sweep(
-    delta_over_g_values,
-    omega_over_delta: float,
-    n_max: int = 8,
-    pulse: PulseParams = CANONICAL_PULSE,
-    initial_cavity=0,
-) -> list[SweepPoint]:
-    """Validation error along a detuning sweep at fixed drive ratio."""
-    points = []
-    for ratio in delta_over_g_values:
-        params = CavityParams.from_ratios(ratio, omega_over_delta)
-        err = validate_effective_model(params, FockSpace(n_max), pulse, initial_cavity)
-        points.append(SweepPoint(float(ratio), float(omega_over_delta), int(n_max), err))
-    return points

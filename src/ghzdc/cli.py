@@ -21,16 +21,20 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .adversary import INTERCEPT_BASES, STRATEGIES, AdversaryModel, monte_carlo_confirm
-from .cavity import CANONICAL_PULSE, PulseParams, effective_model_sweep
+from .cavity import CANONICAL_PULSE, CavityParams, FockSpace, PulseParams, validate_effective_model
 from .protocol import Role, SessionConfig, decode_table, run_rounds, timing_error_fidelity
 
 SCHEMA_VERSION = 1
+
+# Upper bounds on the counts a run accepts, checked while parsing: a timing-sweep point
+# costs ~0.3 ms (~34 s at the bound), a 2-user round 0.05-0.15 ms (~1-2.5 min at the bound).
+MAX_GRID_POINTS = 10**5
+MAX_ROUNDS = 10**6
 
 # --model flag -> adversary kind.
 MODEL_FLAGS = {strategy.flag: kind for kind, strategy in STRATEGIES.items()}
@@ -66,19 +70,22 @@ def _grid(text: str) -> list[float]:
     """Either 'start:stop:count' or a comma-separated list."""
     if ":" in text:
         start, stop, count = text.split(":")
-        return list(np.linspace(float(start), float(stop), int(count)))
+        count = int(count)
+        if not 0 <= count <= MAX_GRID_POINTS:  # checked before numpy allocates the grid
+            raise ValueError(count)
+        return list(np.linspace(float(start), float(stop), count))
     return _numbers(text)
 
 
 _integer = _flag_type(int, "an integer")
 _non_negative_int = _flag_type(int, "an integer", lambda v: v >= 0, "be >= 0")
-_positive_int = _flag_type(int, "an integer", lambda v: v >= 1, "be >= 1")
+_rounds = _flag_type(int, "an integer", lambda v: 1 <= v <= MAX_ROUNDS, f"lie in [1, {MAX_ROUNDS}]")
 _real = _flag_type(float, "a number")
 _finite_float = _flag_type(float, "a number", math.isfinite, "be finite")
 _probability = _flag_type(float, "a number", lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _float_list = _flag_type(_numbers, "a comma-separated list of numbers")
-_epsilon_grid = _flag_type(_grid, "'start:stop:count' with an integer count >= 0, "
-                           "or a comma-separated list of numbers")
+_epsilon_grid = _flag_type(_grid, "'start:stop:count' with an integer count in "
+                           f"[0, {MAX_GRID_POINTS}], or a comma-separated list of numbers")
 
 
 # Config key (the flag name with '-' as '_') -> (default, add_argument options).
@@ -86,7 +93,7 @@ FLAGS = {
     "seed": (0, {"type": _non_negative_int}),
     "out": ("-", {"help": "output path, '-' for stdout"}),
     "format": ("json", {"choices": ("json", "csv")}),
-    "rounds": (1000, {"type": _positive_int}),
+    "rounds": (1000, {"type": _rounds}),
     "p_check": (0.1, {"type": _probability}),
     "n_users": (2, {"type": _integer}),
     "message": (None, {"type": _integer, "choices": range(4),
@@ -208,10 +215,18 @@ def _run_adversary(cfg: dict) -> tuple[list[dict], list[str]]:
 
 def _run_physics_sweep(cfg: dict) -> tuple[list[dict], list[str]]:
     pulse = PulseParams(lambda_t=cfg["lambda_t"], omega_t=CANONICAL_PULSE.omega_t)
-    points = effective_model_sweep(
-        cfg["delta_over_g"], cfg["omega_over_delta"], cfg["n_max"], pulse, cfg["cavity_fock"]
-    )
-    rows = [asdict(pt) for pt in points]
+    omega_over_delta, n_max = cfg["omega_over_delta"], cfg["n_max"]
+    rows = [
+        {
+            "delta_over_g": ratio,
+            "omega_over_delta": omega_over_delta,
+            "n_max": n_max,
+            "error": validate_effective_model(
+                CavityParams.from_ratios(ratio, omega_over_delta), FockSpace(n_max), pulse,
+                cfg["cavity_fock"]),
+        }
+        for ratio in cfg["delta_over_g"]
+    ]
     return rows, [f"points={len(rows)}"]
 
 
@@ -270,7 +285,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: a too deeply nested file
         print(f"ghzdc: invalid configuration: {exc}", file=sys.stderr)
         return 2
     started = time.monotonic()

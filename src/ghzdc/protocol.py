@@ -162,21 +162,19 @@ DECODE_TABLE: dict[DecodeKey, EncodingOp] = {
 }
 
 
-def decode(key: DecodeKey) -> EncodingOp:
-    """Three-party decoding; total on all 8 keys."""
-    return DECODE_TABLE[key]
+def decode(pair: str, signs) -> EncodingOp:
+    """Alice's operation from the receiver's pair and the other parties' sign reports.
 
-
-def decode_n(pair: str, signs) -> EncodingOp:
-    """Multi-user decoding: the parity of the '-' reports plays the sign role."""
+    The parity of the '-' reports plays the sign role, so one report is the
+    three-party rule and any number of users decodes through ``DECODE_TABLE``.
+    """
     signs = tuple(signs)
     if not signs:
         raise ValueError("at least one sign report is required")
     for s in signs:
         if s not in SIGNS:
             raise ValueError(f"sign reports must be '+' or '-', got {s!r}")
-    parity_sign = "+" if signs.count("-") % 2 == 0 else "-"
-    return decode(DecodeKey(pair, parity_sign))
+    return DECODE_TABLE[DecodeKey(pair, SIGNS[signs.count("-") % 2])]
 
 
 def decode_table(n_users: int = 2) -> list[tuple[str, tuple[str, ...], EncodingOp]]:
@@ -186,7 +184,7 @@ def decode_table(n_users: int = 2) -> list[tuple[str, tuple[str, ...], EncodingO
     rows = []
     for pair in PAIRS:
         for signs in product(SIGNS, repeat=n_users - 1):
-            rows.append((pair, signs, decode_n(pair, signs)))
+            rows.append((pair, signs, decode(pair, signs)))
     return rows
 
 
@@ -407,7 +405,7 @@ def run_session(
     op = EncodingOp.from_bits(message_bits)
     state = _honest_post_state(config.n_users, op, config.receiver_qubit)
     pair, signs = measure_decode(state, rng, config.receiver_qubit)
-    decoded = decode_n(pair, signs)
+    decoded = decode(pair, signs)
     return SessionRecord(
         round_index=round_index,
         branch="encode",

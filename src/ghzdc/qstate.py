@@ -15,7 +15,6 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -92,20 +91,6 @@ class QuantumState:
             self.num_qubits == other.num_qubits
             and bool(np.max(np.abs(self._amps - other._amps)) <= tol)
         )
-
-    def to_json(self) -> str:
-        """JSON with qubit count and [re, im] pairs in index order; round-trips exactly."""
-        pairs = [[float(a.real), float(a.imag)] for a in self._amps]
-        return json.dumps({"num_qubits": self.num_qubits, "amplitudes": pairs})
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuantumState":
-        obj = json.loads(text)
-        amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
-        state = cls(amps)
-        if state.num_qubits != obj["num_qubits"]:
-            raise ValueError("num_qubits field disagrees with amplitude count")
-        return state
 
     def __repr__(self) -> str:
         return f"QuantumState(num_qubits={self.num_qubits})"

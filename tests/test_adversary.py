@@ -294,6 +294,6 @@ class TestCachedRoundInputs:
         outcomes = STRATEGIES["bob_lies"].outcomes
         for op in EncodingOp:
             for key in (DecodeKey(pair, sign) for pair in PAIRS for sign in "+-"):
-                expected = tuple(decode(DecodeKey(p, key.sign)) != op for p in PAIRS)
+                expected = tuple(decode(p, [key.sign]) != op for p in PAIRS)
                 assert outcomes(op, key) == expected
                 assert outcomes(op, key) is outcomes(op, key)

@@ -27,7 +27,6 @@ from ghzdc.cavity import (
     _cavity_weights,
     _exchange_reflect,
     _exchange_split,
-    effective_model_sweep,
     effective_unitary,
     full_hamiltonian,
     validate_effective_model,
@@ -434,14 +433,6 @@ class TestValidateEffectiveModel:
         e0 = validate_effective_model(p, fock, CANONICAL_PULSE, 0)
         e1 = validate_effective_model(p, fock, CANONICAL_PULSE, 1)
         assert mixed <= max(e0, e1) + 1e-12
-
-    def test_sweep_rows_carry_inputs(self):
-        points = effective_model_sweep([10.0, 20.0], 20.0, n_max=6)
-        assert [pt.delta_over_g for pt in points] == [10.0, 20.0]
-        assert all(pt.n_max == 6 and pt.omega_over_delta == 20.0 for pt in points)
-        assert all(0.0 <= pt.error <= 1.0 for pt in points)
-
-
 
 
 class TestExchangeSplit:

@@ -1,11 +1,14 @@
 """Command-line driver tests: exit codes, formats, config layering, determinism."""
 
+import csv
+import io
 import json
 import re
 
 import pytest
 
-from ghzdc.cli import main
+from ghzdc.cavity import CANONICAL_PULSE, CavityParams, FockSpace, validate_effective_model
+from ghzdc.cli import MAX_GRID_POINTS, MAX_ROUNDS, build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -160,6 +163,15 @@ class TestSweeps:
         lines = out.strip().splitlines()
         assert lines[0] == "delta_over_g,omega_over_delta,n_max,error"
         assert len(lines) == 3
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [float(row["delta_over_g"]) for row in rows] == [10.0, 20.0]
+        assert all(float(row["omega_over_delta"]) == 20.0 for row in rows)
+        assert all(int(row["n_max"]) == 6 for row in rows)
+        for row in rows:
+            error = float(row["error"])
+            assert 0.0 <= error <= 1.0
+            params = CavityParams.from_ratios(float(row["delta_over_g"]), 20.0)
+            assert error == validate_effective_model(params, FockSpace(6), CANONICAL_PULSE)
 
     @pytest.mark.parametrize(
         "argv,field",
@@ -220,12 +232,12 @@ class TestDecodeTable:
         assert len(data_lines(out)) == rows + 1
 
     def test_rows_match_library_decoding(self, capsys):
-        from ghzdc.protocol import decode_n
+        from ghzdc.protocol import decode
 
         code, out, _ = run_cli(["decode-table", "--n-users", "3"], capsys)
         assert code == 0
         for row in data_lines(out)[1:]:
-            assert decode_n(row["pair"], tuple(row["signs"])).name == row["operation"]
+            assert decode(row["pair"], row["signs"]).name == row["operation"]
 
     def test_out_of_range(self, capsys):
         code, _, err = run_cli(["decode-table", "--n-users", "20"], capsys)
@@ -239,6 +251,7 @@ class TestFlagErrors:
     @pytest.mark.parametrize("command,key,text,raw,reason", [
         ("session", "seed", "1.5", 1.5, "must be an integer"),
         ("session", "rounds", "2.5", 2.5, "must be an integer"),
+        ("session", "rounds", "1000001", MAX_ROUNDS + 1, "must lie in [1, 1000000]"),
         ("session", "n_users", "2.5", 2.5, "must be an integer"),
         ("session", "p_check", "2", 2, "must lie in [0, 1]"),
         ("adversary", "theta", "True", True, "must be a number"),
@@ -246,6 +259,8 @@ class TestFlagErrors:
         ("timing-sweep", "epsilon_grid", "1:2", ["1:2"], "must be 'start:stop:count'"),
         ("timing-sweep", "epsilon_grid", "a:b:c", ["a:b:c"], "must be 'start:stop:count'"),
         ("timing-sweep", "epsilon_grid", "1:2:-5", ["1:2:-5"], "must be 'start:stop:count'"),
+        ("timing-sweep", "epsilon_grid", "0:0.1:1000000000000", ["0:0.1:1000000000000"],
+         "must be 'start:stop:count' with an integer count in [0, 100000]"),
     ])
     @pytest.mark.parametrize("use_file", [False, True])
     def test_bad_value_names_flag_and_reason(self, command, key, text, raw, reason, use_file,
@@ -266,6 +281,12 @@ class TestFlagErrors:
         assert out == ""
         assert f"got {text!r}" in err
         assert re.search(r"(?<!\w)_[a-z]", err) is None  # no private helper name
+
+    def test_bounds_are_inclusive(self):
+        # Parse only: running this many rounds or grid points would take about a minute.
+        assert build_parser().parse_args(["session", f"--rounds={MAX_ROUNDS}"]).rounds == MAX_ROUNDS
+        args = build_parser().parse_args(["timing-sweep", f"--epsilon-grid=0:1:{MAX_GRID_POINTS}"])
+        assert len(args.epsilon_grid) == MAX_GRID_POINTS
 
 
 class TestConfigLayering:
@@ -299,6 +320,20 @@ class TestConfigLayering:
         cfg.write_text("not json")
         code, _, err = run_cli(["session", "--config", str(cfg)], capsys)
         assert code == 2
+        assert "invalid configuration" in err
+
+    @pytest.mark.parametrize("use_env", [False, True])
+    def test_deeply_nested_config_exits_two(self, use_env, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        if use_env:
+            monkeypatch.setenv("GHZDC_CONFIG", str(cfg))
+            argv = ["session"]
+        else:
+            argv = ["session", "--config", str(cfg)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
         assert "invalid configuration" in err
 
     def test_bad_rounds_in_file_exits_two(self, capsys, tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ghzdc.protocol import (
     PAIRS,
+    DECODE_TABLE,
     SIGNS,
     CheckRecord,
     DecodeKey,
@@ -24,7 +25,6 @@ from ghzdc.protocol import (
     SessionConfig,
     bob_interaction,
     decode,
-    decode_n,
     decode_table,
     encode,
     parity_accept_set,
@@ -173,20 +173,20 @@ class TestBobInteraction:
 
 class TestDecodeTable:
     def test_key_to_operation_mapping(self):
-        assert decode(DecodeKey("ee", "+")) is EncodingOp.IDENTITY
-        assert decode(DecodeKey("gg", "-")) is EncodingOp.IDENTITY
-        assert decode(DecodeKey("ge", "+")) is EncodingOp.SIGMA_X
-        assert decode(DecodeKey("eg", "-")) is EncodingOp.SIGMA_X
-        assert decode(DecodeKey("eg", "+")) is EncodingOp.I_SIGMA_Y
-        assert decode(DecodeKey("ge", "-")) is EncodingOp.I_SIGMA_Y
-        assert decode(DecodeKey("gg", "+")) is EncodingOp.SIGMA_Z
-        assert decode(DecodeKey("ee", "-")) is EncodingOp.SIGMA_Z
+        assert decode("ee", ["+"]) is EncodingOp.IDENTITY
+        assert decode("gg", ["-"]) is EncodingOp.IDENTITY
+        assert decode("ge", ["+"]) is EncodingOp.SIGMA_X
+        assert decode("eg", ["-"]) is EncodingOp.SIGMA_X
+        assert decode("eg", ["+"]) is EncodingOp.I_SIGMA_Y
+        assert decode("ge", ["-"]) is EncodingOp.I_SIGMA_Y
+        assert decode("gg", ["+"]) is EncodingOp.SIGMA_Z
+        assert decode("ee", ["-"]) is EncodingOp.SIGMA_Z
 
     def test_total_and_balanced(self):
         seen = {}
         for pair in PAIRS:
             for sign in SIGNS:
-                op = decode(DecodeKey(pair, sign))
+                op = decode(pair, [sign])
                 seen[op] = seen.get(op, 0) + 1
         assert all(count == 2 for count in seen.values())
 
@@ -213,24 +213,24 @@ class TestDecodeTable:
             p_plus, p_minus = born_probabilities(state, 3, PLUS_MINUS)
             assert p_plus == pytest.approx(0.5, abs=1e-10)
 
-    def test_decode_n_reduces_to_decode(self):
+    def test_one_sign_reads_the_table(self):
         for pair in PAIRS:
             for sign in SIGNS:
-                assert decode_n(pair, [sign]) is decode(DecodeKey(pair, sign))
+                assert decode(pair, [sign]) is DECODE_TABLE[DecodeKey(pair, sign)]
 
-    def test_decode_n_uses_sign_parity(self):
-        assert decode_n("ee", ["+", "+"]) is EncodingOp.IDENTITY
-        assert decode_n("ee", ["-", "-"]) is EncodingOp.IDENTITY
-        assert decode_n("ee", ["+", "-"]) is EncodingOp.SIGMA_Z
+    def test_uses_sign_parity(self):
+        assert decode("ee", ["+", "+"]) is EncodingOp.IDENTITY
+        assert decode("ee", ["-", "-"]) is EncodingOp.IDENTITY
+        assert decode("ee", ["+", "-"]) is EncodingOp.SIGMA_Z
 
     def test_single_sign_flip_switches_class_member(self):
         for pair in PAIRS:
             for signs in product(SIGNS, repeat=3):
-                base = decode_n(pair, signs)
+                base = decode(pair, signs)
                 for i in range(3):
                     flipped = list(signs)
                     flipped[i] = "+" if flipped[i] == "-" else "-"
-                    other = decode_n(pair, flipped)
+                    other = decode(pair, flipped)
                     assert other is not base
                     assert {base, other} in (
                         {EncodingOp.IDENTITY, EncodingOp.SIGMA_Z},
@@ -243,7 +243,7 @@ class TestDecodeTable:
 
     def test_empty_signs_rejected(self):
         with pytest.raises(ValueError):
-            decode_n("ee", [])
+            decode("ee", [])
 
 
 class TestAcceptSet:
@@ -424,10 +424,10 @@ class TestDecodeNOracle:
                     pair = "eg"[b1] + "eg"[b2]
                     if p > 1e-10:
                         assert p == pytest.approx(0.25, abs=1e-10)
-                        assert decode_n(pair, (s3, s4)) is op
+                        assert decode(pair, (s3, s4)) is op
 
     def test_specific_row(self):
-        assert decode_n("ee", ("+", "+")) is EncodingOp.IDENTITY
+        assert decode("ee", ("+", "+")) is EncodingOp.IDENTITY
 
 
 class TestDecodeProperty:
