@@ -31,6 +31,7 @@ from ghzdc.cavity import (
     full_hamiltonian,
     validate_effective_model,
 )
+from ghzdc.cli import RUNNERS
 from ghzdc.protocol import timing_error_fidelity
 from ghzdc.qstate import IDENTITY, SIGMA_X
 from oracles import (
@@ -433,6 +434,14 @@ class TestValidateEffectiveModel:
         e0 = validate_effective_model(p, fock, CANONICAL_PULSE, 0)
         e1 = validate_effective_model(p, fock, CANONICAL_PULSE, 1)
         assert mixed <= max(e0, e1) + 1e-12
+
+    def test_sweep_rows_carry_inputs(self):
+        cfg = {"delta_over_g": [10.0, 20.0], "omega_over_delta": 20.0, "n_max": 6,
+               "lambda_t": CANONICAL_PULSE.lambda_t, "cavity_fock": 0}
+        rows, _ = RUNNERS["physics-sweep"](cfg)
+        assert [row["delta_over_g"] for row in rows] == [10.0, 20.0]
+        assert all(row["n_max"] == 6 and row["omega_over_delta"] == 20.0 for row in rows)
+        assert all(0.0 <= row["error"] <= 1.0 for row in rows)
 
 
 class TestExchangeSplit:
