@@ -1,4 +1,7 @@
-"""Secure dense coding over tripartite GHZ states in cavity QED: exact simulator and verification toolkit."""
+"""Secure dense coding over tripartite GHZ states in cavity QED: exact simulator and verification toolkit.
+
+Importing the package loads no submodule; import each from ``ghzdc.<module>``.
+"""
 
 import os
 
@@ -9,56 +12,3 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
-
-from .cavity import (
-    CANONICAL_PULSE,
-    CavityParams,
-    FockSpace,
-    PulseParams,
-    TruncationWarning,
-    effective_unitary,
-    full_hamiltonian,
-    validate_effective_model,
-)
-from .adversary import (
-    AdversaryModel,
-    AncillaTradeoff,
-    CheatReport,
-    ancilla_attack_tradeoff,
-    cheat_success,
-    check_violation_rate,
-    intercept_resend_detection,
-    monte_carlo_confirm,
-    solo_guess_probability,
-)
-from .protocol import (
-    DecodeKey,
-    EncodingOp,
-    Role,
-    SessionConfig,
-    SessionRecord,
-    bob_interaction,
-    decode,
-    decode_table,
-    encode,
-    parity_accept_set,
-    prepare_ghz,
-    run_rounds,
-    run_session,
-    security_check_round,
-    timing_error_fidelity,
-)
-from .qstate import (
-    COMPUTATIONAL,
-    PLUS_MINUS,
-    Y_BASIS,
-    MeasurementBasis,
-    MeasurementOutcome,
-    QuantumState,
-    apply_gate,
-    apply_two_qubit,
-    fidelity,
-    global_phase_equal,
-    measure,
-    outcome_distribution,
-)

@@ -6,7 +6,8 @@ messages, lie randomness and the closed-form message-round distribution
 "Lying" means reporting a value drawn uniformly from the report alphabet,
 independent of the true outcome (a fabricated record); the stricter
 always-flip variants are exposed separately.  A cheat succeeds when the
-deceived party decodes the wrong message.
+deceived party decodes the wrong message.  ``analytic_success`` gives the
+exact value of every model, and ``monte_carlo_confirm`` samples it.
 
 Eavesdropping is modeled two ways: intercept-resend on an atom in transit
 during distribution, and a one-parameter family that entangles a fresh
@@ -33,7 +34,6 @@ from .protocol import (
     SIGNS,
     DecodeKey,
     EncodingOp,
-    Role,
     _honest_post_state,
     bob_interaction,
     measure_decode,
@@ -102,31 +102,6 @@ def decode_distribution(op: EncodingOp) -> dict[DecodeKey, Fraction]:
     """
     keys = (DecodeKey(pair, sign) for pair in PAIRS for sign in SIGNS)
     return {key: Fraction(1, 2) if DECODE_TABLE[key] == op else Fraction(0) for key in keys}
-
-
-def solo_guess_probability(party: Role) -> Fraction:
-    """Best success probability of guessing the message from one party's record alone.
-
-    Uniform messages; the guess is the maximum-a-posteriori choice given
-    the receiver pair (Bob) or the sign (Charlie).  Alice trivially knows
-    her own message.
-    """
-    if party == Role.ALICE:
-        return Fraction(1)
-    if party not in SOLO_GUESSES:
-        raise ValueError(f"party must be a Role, got {party!r}")
-    return SOLO_GUESSES[party].exact()
-
-
-def cheat_success(model: AdversaryModel) -> Fraction:
-    """Probability that the victim decodes the wrong message under the model.
-
-    Liars submit a uniformly random report; flippers submit a uniformly
-    random *false* report.  The honest model deceives no one.
-    """
-    if model.kind not in CHEATS:
-        raise ValueError(f"cheat_success does not apply to {model.kind!r}")
-    return CHEATS[model.kind].exact()
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +266,7 @@ class MessageStrategy(Strategy):
 
     outcomes: Callable[[EncodingOp, DecodeKey], tuple[bool, ...]]
 
-    def exact(self, model: AdversaryModel | None = None) -> Fraction:
+    def exact(self, model: AdversaryModel) -> Fraction:
         total = Fraction(0)
         for op in EncodingOp:
             for key, p in decode_distribution(op).items():
@@ -349,23 +324,14 @@ def _solo_guess(flag: str, field: str) -> MessageStrategy:
     return MessageStrategy(lambda op, key: (guess(getattr(key, field)) == op,), flag=flag)
 
 
-CHEATS = {
+STRATEGIES: dict[str, MessageStrategy | CheckAttack] = {
     "honest": MessageStrategy(lambda op, key: (DECODE_TABLE[key] != op,), flag="honest"),
     "charlie_lies": _report_cheat("charlie-lies", "sign", exclude_truth=False),
     "bob_lies": _report_cheat("bob-lies", "pair", exclude_truth=False),
     "charlie_flips": _report_cheat("charlie-flips", "sign", exclude_truth=True),
     "bob_flips": _report_cheat("bob-flips", "pair", exclude_truth=True),
-}
-
-SOLO_GUESSES = {
-    Role.BOB: _solo_guess("bob-guess", "pair"),
-    Role.CHARLIE: _solo_guess("charlie-guess", "sign"),
-}
-
-STRATEGIES: dict[str, MessageStrategy | CheckAttack] = {
-    **CHEATS,
-    "bob_alone_guess": SOLO_GUESSES[Role.BOB],
-    "charlie_alone_guess": SOLO_GUESSES[Role.CHARLIE],
+    "bob_alone_guess": _solo_guess("bob-guess", "pair"),
+    "charlie_alone_guess": _solo_guess("charlie-guess", "sign"),
     "intercept_resend": CheckAttack(
         attacked_state=lambda model, rng: measure(
             prepare_ghz(), model.target_qubit, INTERCEPT_BASES[model.basis], rng.random()
@@ -415,16 +381,21 @@ class CheatReport:
         }
 
 
-def analytic_success(model: AdversaryModel) -> float:
-    """Reference value matching what the Monte Carlo run estimates."""
-    return float(STRATEGIES[model.kind].exact(model))
+def analytic_success(model: AdversaryModel) -> Fraction | float:
+    """Exact value of what the Monte Carlo run estimates: the cheat or solo-guess
+    success, or the detection rate per check round.
+
+    A ``Fraction`` for the message kinds and intercept-resend; the ancilla
+    family's Born-rule enumeration is a float.
+    """
+    return STRATEGIES[model.kind].exact(model)
 
 
 def monte_carlo_confirm(model: AdversaryModel, rounds: int, seed: int) -> CheatReport:
     """Seeded empirical estimate of the model's success/detection frequency."""
     if rounds < 100:
         raise ValueError("rounds must be >= 100 for a meaningful estimate")
-    analytic = analytic_success(model)
+    analytic = float(analytic_success(model))
     strategy = STRATEGIES[model.kind]
     hits = sum(strategy.sample(model, round_rng(seed, idx)) for idx in range(rounds))
     empirical = hits / rounds

@@ -31,8 +31,10 @@ from .protocol import Role, SessionConfig, decode_table, run_rounds, timing_erro
 
 SCHEMA_VERSION = 1
 
-# Upper bounds on the counts a run accepts, checked while parsing: a timing-sweep point
-# costs ~0.3 ms (~34 s at the bound), a 2-user round 0.05-0.15 ms (~1-2.5 min at the bound).
+# Upper bounds on the counts a run accepts, checked while parsing.  They cap counts, not
+# run time: a timing-sweep point costs ~0.3 ms (~34 s at the bound), a physics-sweep
+# point grows as n_max^3 (~0.45 s at n_max 400), and a 2-user round costs 0.05-0.15 ms
+# (~1-2.5 min at the bound).
 MAX_GRID_POINTS = 10**5
 MAX_ROUNDS = 10**6
 
@@ -63,7 +65,10 @@ def _flag_type(parse, kind: str, ok=None, bound: str = ""):
 
 
 def _numbers(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    numbers = [float(part) for part in text.split(",") if part.strip()]
+    if len(numbers) > MAX_GRID_POINTS:
+        raise ValueError(len(numbers))
+    return numbers
 
 
 def _grid(text: str) -> list[float]:
@@ -83,9 +88,10 @@ _rounds = _flag_type(int, "an integer", lambda v: 1 <= v <= MAX_ROUNDS, f"lie in
 _real = _flag_type(float, "a number")
 _finite_float = _flag_type(float, "a number", math.isfinite, "be finite")
 _probability = _flag_type(float, "a number", lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
-_float_list = _flag_type(_numbers, "a comma-separated list of numbers")
+_float_list = _flag_type(_numbers, f"a comma-separated list of at most {MAX_GRID_POINTS} numbers")
 _epsilon_grid = _flag_type(_grid, "'start:stop:count' with an integer count in "
-                           f"[0, {MAX_GRID_POINTS}], or a comma-separated list of numbers")
+                           f"[0, {MAX_GRID_POINTS}], or a comma-separated list of at most "
+                           f"{MAX_GRID_POINTS} numbers")
 
 
 # Config key (the flag name with '-' as '_') -> (default, add_argument options).
@@ -244,7 +250,7 @@ def _run_decode_table(cfg: dict) -> tuple[list[dict], list[str]]:
             "pair": pair,
             "signs": "".join(signs),
             "operation": op.name,
-            "bits": format(op.bits, "02b"),
+            "bits": format(op.value, "02b"),
         }
         for pair, signs, op in decode_table(cfg["n_users"])
     ]

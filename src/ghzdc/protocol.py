@@ -60,18 +60,8 @@ class EncodingOp(enum.Enum):
     SIGMA_Z = 0b11
 
     @property
-    def bits(self) -> int:
-        return self.value
-
-    @property
     def matrix(self) -> np.ndarray:
         return _ENCODING_MATRICES[self]
-
-    @classmethod
-    def from_bits(cls, bits: int) -> "EncodingOp":
-        if not 0 <= bits <= 3:
-            raise ValueError(f"message bits must be 0..3, got {bits}")
-        return cls(bits)
 
 
 _ENCODING_MATRICES = {
@@ -402,7 +392,7 @@ def run_session(
         return SessionRecord(round_index=round_index, branch="check", check=record)
     if message_bits is None:
         raise ValueError("message bits are required on an encoding round")
-    op = EncodingOp.from_bits(message_bits)
+    op = EncodingOp(message_bits)
     state = _honest_post_state(config.n_users, op, config.receiver_qubit)
     pair, signs = measure_decode(state, rng, config.receiver_qubit)
     decoded = decode(pair, signs)
@@ -414,7 +404,7 @@ def run_session(
         bob_outcomes=pair,
         partner_signs=signs,
         decoded=decoded.name,
-        decoded_bits=decoded.bits,
+        decoded_bits=decoded.value,
     )
 
 

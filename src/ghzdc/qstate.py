@@ -33,13 +33,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 I_SIGMA_Y = np.array([[0, 1], [-1, 0]], dtype=complex)
 
 
-def _basis_index(label: str) -> int:
-    """Amplitude index of an 'e'/'g' label, qubit 1 most significant and |e> -> 0."""
-    if not label or set(label) - {"e", "g"}:
-        raise ValueError(f"basis label must use only 'e' and 'g', got {label!r}")
-    return int(label.replace("e", "0").replace("g", "1"), 2)
-
-
 class QuantumState:
     """Immutable normalized amplitude vector over an ordered qubit register."""
 
@@ -70,30 +63,8 @@ class QuantumState:
         obj._amps = amps
         return obj
 
-    @classmethod
-    def basis_state(cls, label: str) -> "QuantumState":
-        """Computational basis state from a string of 'e'/'g' characters, qubit 1 first."""
-        amps = np.zeros(2 ** len(label), dtype=complex)
-        amps[_basis_index(label)] = 1.0
-        return cls(amps)
-
-    def amplitude(self, label: str) -> complex:
-        """Amplitude of the given computational basis string."""
-        if len(label) != self.num_qubits:
-            raise ValueError(f"label {label!r} does not match {self.num_qubits} qubits")
-        return complex(self._amps[_basis_index(label)])
-
     def norm(self) -> float:
         return float(np.linalg.norm(self._amps))
-
-    def allclose(self, other: "QuantumState", tol: float = TOL_EQ) -> bool:
-        return (
-            self.num_qubits == other.num_qubits
-            and bool(np.max(np.abs(self._amps - other._amps)) <= tol)
-        )
-
-    def __repr__(self) -> str:
-        return f"QuantumState(num_qubits={self.num_qubits})"
 
 
 @dataclass(frozen=True)
@@ -274,14 +245,3 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
             raise ValueError("fidelity requires normalized states")
     val = float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
     return min(val, 1.0)
-
-
-def global_phase_equal(a: QuantumState, b: QuantumState, tol: float = TOL_EQ) -> bool:
-    """True when a equals exp(i*theta)*b for some real theta, within tol."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states must have equal qubit counts")
-    overlap = np.vdot(b.amplitudes, a.amplitudes)
-    if abs(overlap) < tol:
-        return bool(np.max(np.abs(a.amplitudes - b.amplitudes)) <= tol)
-    phase = overlap / abs(overlap)
-    return bool(np.max(np.abs(a.amplitudes - phase * b.amplitudes)) <= tol)

@@ -1,11 +1,21 @@
 """Test-only references: the paper's two atom-pair generators, single-qubit Born
-probabilities, and the Born-rule enumeration of a message round."""
+probabilities, the Born-rule enumeration of a message round, basis states by
+label, and state comparisons (entrywise and up to a global phase)."""
 
 import numpy as np
 
 from ghzdc.cavity import CavityParams
 from ghzdc.protocol import SIGNS, DecodeKey, EncodingOp, bob_interaction, encode, prepare_ghz
-from ghzdc.qstate import COMPUTATIONAL, IDENTITY, PLUS_MINUS, SIGMA_X, _check_qubit, outcome_distribution
+from ghzdc.qstate import (
+    COMPUTATIONAL,
+    IDENTITY,
+    PLUS_MINUS,
+    SIGMA_X,
+    TOL_EQ,
+    QuantumState,
+    _check_qubit,
+    outcome_distribution,
+)
 
 S_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |e><g|
 S_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |g><e|
@@ -50,3 +60,40 @@ def born_decode_distribution(op: EncodingOp) -> dict[DecodeKey, float]:
     state = bob_interaction(encode(prepare_ghz(), op))
     probs = outcome_distribution(state, (COMPUTATIONAL, COMPUTATIONAL, PLUS_MINUS))
     return {DecodeKey("eg"[b1] + "eg"[b2], SIGNS[s]): float(p) for (b1, b2, s), p in np.ndenumerate(probs)}
+
+
+def _basis_index(label: str) -> int:
+    """Amplitude index of an 'e'/'g' label, qubit 1 most significant and |e> -> 0."""
+    if not label or set(label) - {"e", "g"}:
+        raise ValueError(f"basis label must use only 'e' and 'g', got {label!r}")
+    return int(label.replace("e", "0").replace("g", "1"), 2)
+
+
+def basis_state(label: str) -> QuantumState:
+    """Computational basis state from a string of 'e'/'g' characters, qubit 1 first."""
+    amps = np.zeros(2 ** len(label), dtype=complex)
+    amps[_basis_index(label)] = 1.0
+    return QuantumState(amps)
+
+
+def amplitude(state: QuantumState, label: str) -> complex:
+    """Amplitude of the given computational basis string."""
+    if len(label) != state.num_qubits:
+        raise ValueError(f"label {label!r} does not match {state.num_qubits} qubits")
+    return complex(state.amplitudes[_basis_index(label)])
+
+
+def allclose(a: QuantumState, b: QuantumState, tol: float = TOL_EQ) -> bool:
+    """Equal qubit counts and every amplitude within tol."""
+    return a.num_qubits == b.num_qubits and bool(np.max(np.abs(a.amplitudes - b.amplitudes)) <= tol)
+
+
+def global_phase_equal(a: QuantumState, b: QuantumState, tol: float = TOL_EQ) -> bool:
+    """True when a equals exp(i*theta)*b for some real theta, within tol."""
+    if a.num_qubits != b.num_qubits:
+        raise ValueError("states must have equal qubit counts")
+    overlap = np.vdot(b.amplitudes, a.amplitudes)
+    if abs(overlap) < tol:
+        return bool(np.max(np.abs(a.amplitudes - b.amplitudes)) <= tol)
+    phase = overlap / abs(overlap)
+    return bool(np.max(np.abs(a.amplitudes - phase * b.amplitudes)) <= tol)

@@ -19,13 +19,12 @@ from scipy.linalg import expm
 
 from ghzdc.adversary import (
     AdversaryModel,
+    analytic_success,
     ancilla_attack_tradeoff,
-    cheat_success,
     check_violation_rate,
     decode_distribution,
     intercept_resend_detection,
     monte_carlo_confirm,
-    solo_guess_probability,
 )
 from ghzdc.cavity import (
     CANONICAL_PULSE,
@@ -39,7 +38,6 @@ from ghzdc.cli import main as cli_main
 from ghzdc.protocol import (
     DecodeKey,
     EncodingOp,
-    Role,
     SessionConfig,
     bob_interaction,
     encode,
@@ -48,8 +46,8 @@ from ghzdc.protocol import (
     security_check_round,
     timing_error_fidelity,
 )
-from ghzdc.qstate import QuantumState, global_phase_equal
-from oracles import drive_hamiltonian, effective_hamiltonian
+from ghzdc.qstate import QuantumState
+from oracles import drive_hamiltonian, effective_hamiltonian, global_phase_equal
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -144,10 +142,10 @@ def test_criterion_4_decode_table_exactness_and_monte_carlo():
     mc_ok = True
     worst_dev = 0.0
     for op in EncodingOp:
-        config = SessionConfig(rng_seed=40_000 + op.bits, p_check=0.0)
+        config = SessionConfig(rng_seed=40_000 + op.value, p_check=0.0)
         counts: dict[DecodeKey, int] = {}
         for idx in range(rounds):
-            record = run_session(config, op.bits, idx)
+            record = run_session(config, op.value, idx)
             key = DecodeKey(record.bob_outcomes, record.partner_signs[0])
             counts[key] = counts.get(key, 0) + 1
         mc_ok = mc_ok and set(counts) == VALID_KEYS[op]
@@ -167,10 +165,10 @@ def test_criterion_4_decode_table_exactness_and_monte_carlo():
 def test_criterion_5_security_numbers():
     """Solo-guess and cheat probabilities match the four claimed rationals, MC-confirmed."""
     exact = {
-        "solo_bob": (solo_guess_probability(Role.BOB), Fraction(1, 2)),
-        "solo_charlie": (solo_guess_probability(Role.CHARLIE), Fraction(1, 4)),
-        "cheat_charlie": (cheat_success(AdversaryModel("charlie_lies")), Fraction(1, 2)),
-        "cheat_bob": (cheat_success(AdversaryModel("bob_lies")), Fraction(3, 4)),
+        "solo_bob": (analytic_success(AdversaryModel("bob_alone_guess")), Fraction(1, 2)),
+        "solo_charlie": (analytic_success(AdversaryModel("charlie_alone_guess")), Fraction(1, 4)),
+        "cheat_charlie": (analytic_success(AdversaryModel("charlie_lies")), Fraction(1, 2)),
+        "cheat_bob": (analytic_success(AdversaryModel("bob_lies")), Fraction(3, 4)),
     }
     exact_ok = all(got == want for got, want in exact.values())
     rounds = 10_000

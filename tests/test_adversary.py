@@ -20,26 +20,23 @@ from ghzdc.adversary import (
     ancilla_attack_tradeoff,
     attach_ancilla,
     analytic_success,
-    cheat_success,
     check_violation_rate,
     decode_distribution,
     intercept_resend_detection,
     monte_carlo_confirm,
-    solo_guess_probability,
 )
 from ghzdc.cli import MODEL_FLAGS
 from ghzdc.protocol import (
     PAIRS,
     DecodeKey,
     EncodingOp,
-    Role,
     decode,
     encode,
     parity_accept_set,
     prepare_ghz,
 )
 from ghzdc.qstate import QuantumState
-from oracles import born_decode_distribution
+from oracles import allclose, basis_state, born_decode_distribution
 
 
 class TestModels:
@@ -87,43 +84,36 @@ class TestDecodeDistribution:
 
 class TestSoloGuess:
     def test_bob_half(self):
-        assert solo_guess_probability(Role.BOB) == Fraction(1, 2)
+        assert analytic_success(AdversaryModel("bob_alone_guess")) == Fraction(1, 2)
 
     def test_charlie_quarter(self):
-        assert solo_guess_probability(Role.CHARLIE) == Fraction(1, 4)
-
-    def test_alice_knows_her_message(self):
-        assert solo_guess_probability(Role.ALICE) == 1
+        assert analytic_success(AdversaryModel("charlie_alone_guess")) == Fraction(1, 4)
 
     def test_hierarchy_and_floor(self):
-        bob = solo_guess_probability(Role.BOB)
-        charlie = solo_guess_probability(Role.CHARLIE)
+        bob = analytic_success(AdversaryModel("bob_alone_guess"))
+        charlie = analytic_success(AdversaryModel("charlie_alone_guess"))
         assert bob > charlie
         assert charlie == Fraction(1, 4)  # the random-guess floor, met with equality
 
 
 class TestCheatSuccess:
     def test_charlie_lying(self):
-        assert cheat_success(AdversaryModel("charlie_lies")) == Fraction(1, 2)
+        assert analytic_success(AdversaryModel("charlie_lies")) == Fraction(1, 2)
 
     def test_bob_lying(self):
-        assert cheat_success(AdversaryModel("bob_lies")) == Fraction(3, 4)
+        assert analytic_success(AdversaryModel("bob_lies")) == Fraction(3, 4)
 
     def test_honest_deceives_nobody(self):
-        assert cheat_success(AdversaryModel("honest")) == 0
+        assert analytic_success(AdversaryModel("honest")) == 0
 
     def test_receiver_cheats_better(self):
-        assert cheat_success(AdversaryModel("bob_lies")) > cheat_success(
+        assert analytic_success(AdversaryModel("bob_lies")) > analytic_success(
             AdversaryModel("charlie_lies")
         )
 
     def test_flip_variants_always_mislead(self):
-        assert cheat_success(AdversaryModel("charlie_flips")) == 1
-        assert cheat_success(AdversaryModel("bob_flips")) == 1
-
-    def test_unsupported_model(self):
-        with pytest.raises(ValueError):
-            cheat_success(AdversaryModel("intercept_resend", target_qubit=2, basis="computational"))
+        assert analytic_success(AdversaryModel("charlie_flips")) == 1
+        assert analytic_success(AdversaryModel("bob_flips")) == 1
 
 
 class TestInterceptResend:
@@ -158,7 +148,7 @@ class TestInterceptResend:
         assert check_violation_rate(prepare_ghz()) == 0
 
     def test_product_state_rate(self):
-        assert check_violation_rate(QuantumState.basis_state("eee")) == pytest.approx(0.25)
+        assert check_violation_rate(basis_state("eee")) == pytest.approx(0.25)
 
 
 class TestAncillaAttack:
@@ -257,6 +247,27 @@ class TestMonteCarlo:
             value = analytic_success(model)
             assert 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize("kind,exact", [
+        ("honest", Fraction(0)),
+        ("charlie_lies", Fraction(1, 2)),
+        ("bob_lies", Fraction(3, 4)),
+        ("charlie_flips", Fraction(1)),
+        ("bob_flips", Fraction(1)),
+        ("bob_alone_guess", Fraction(1, 2)),
+        ("charlie_alone_guess", Fraction(1, 4)),
+    ])
+    def test_message_kinds_are_exact_fractions(self, kind, exact):
+        value = analytic_success(AdversaryModel(kind))
+        assert type(value) is Fraction
+        assert value == exact
+
+    def test_check_attacks_keep_their_exact_types(self):
+        intercept = analytic_success(AdversaryModel("intercept_resend", target_qubit=2,
+                                                    basis="computational"))
+        assert type(intercept) is Fraction
+        assert intercept == Fraction(1, 4)
+        assert type(analytic_success(AdversaryModel("ancilla_attack", theta=0.4))) is float
+
 
 class TestCachedRoundInputs:
     """Inputs every Monte Carlo round shares are built once and change no estimate."""
@@ -287,8 +298,8 @@ class TestCachedRoundInputs:
     def test_other_inputs_give_other_states(self):
         ghz = prepare_ghz()
         base = attach_ancilla(ghz, 0.3)
-        assert not attach_ancilla(ghz, 0.7).allclose(base)
-        assert not attach_ancilla(encode(ghz, EncodingOp.SIGMA_X), 0.3).allclose(base)
+        assert not allclose(attach_ancilla(ghz, 0.7), base)
+        assert not allclose(attach_ancilla(encode(ghz, EncodingOp.SIGMA_X), 0.3), base)
 
     def test_liar_table_matches_decoding(self):
         outcomes = STRATEGIES["bob_lies"].outcomes

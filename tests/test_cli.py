@@ -21,6 +21,11 @@ def data_lines(out: str) -> list[dict]:
     return [json.loads(line) for line in out.strip().splitlines()]
 
 
+# One entry more than a grid may hold, as command-line text and as a config-file list.
+TOO_MANY = [0] * (MAX_GRID_POINTS + 1)
+TOO_MANY_TEXT = ",".join(map(str, TOO_MANY))
+
+
 class TestSession:
     def test_honest_rounds_decode_perfectly(self, capsys):
         code, out, err = run_cli(
@@ -261,6 +266,13 @@ class TestFlagErrors:
         ("timing-sweep", "epsilon_grid", "1:2:-5", ["1:2:-5"], "must be 'start:stop:count'"),
         ("timing-sweep", "epsilon_grid", "0:0.1:1000000000000", ["0:0.1:1000000000000"],
          "must be 'start:stop:count' with an integer count in [0, 100000]"),
+        pytest.param("physics-sweep", "delta_over_g", TOO_MANY_TEXT, TOO_MANY,
+                     "must be a comma-separated list of at most 100000 numbers",
+                     id="physics-sweep-delta_over_g-100001-entries"),
+        pytest.param("timing-sweep", "epsilon_grid", TOO_MANY_TEXT, TOO_MANY,
+                     "must be 'start:stop:count' with an integer count in [0, 100000], "
+                     "or a comma-separated list of at most 100000 numbers",
+                     id="timing-sweep-epsilon_grid-100001-entries"),
     ])
     @pytest.mark.parametrize("use_file", [False, True])
     def test_bad_value_names_flag_and_reason(self, command, key, text, raw, reason, use_file,
@@ -287,6 +299,11 @@ class TestFlagErrors:
         assert build_parser().parse_args(["session", f"--rounds={MAX_ROUNDS}"]).rounds == MAX_ROUNDS
         args = build_parser().parse_args(["timing-sweep", f"--epsilon-grid=0:1:{MAX_GRID_POINTS}"])
         assert len(args.epsilon_grid) == MAX_GRID_POINTS
+        longest = ",".join(["0.5"] * MAX_GRID_POINTS)
+        args = build_parser().parse_args(["timing-sweep", f"--epsilon-grid={longest}"])
+        assert len(args.epsilon_grid) == MAX_GRID_POINTS
+        args = build_parser().parse_args(["physics-sweep", f"--delta-over-g={longest}"])
+        assert len(args.delta_over_g) == MAX_GRID_POINTS
 
 
 class TestConfigLayering:

@@ -1,0 +1,80 @@
+"""tools/golden_transcripts.py --compare on hand-written transcript sets, and
+tools/unreached.py on one CLI invocation."""
+
+import importlib.util
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import ghzdc.cli
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden = _load("golden_transcripts")
+unreached = _load("unreached")
+
+ERROR = 0.014183283265061925
+SWEEP_CSV = f"delta_over_g,omega_over_delta,n_max,error\n10.0,20.0,8,{ERROR!r}\n"
+TABLE_JSONL = (
+    '{"config": {"command": "decode-table", "n_users": 2, "schema_version": 1}}\n'
+    '{"bits": "00", "operation": "IDENTITY", "pair": "ee", "signs": "+"}\n'
+)
+
+
+def write_set(root: Path, sweep: str = SWEEP_CSV, table: str = TABLE_JSONL) -> Path:
+    root.mkdir()
+    (root / "physics-sweep.csv").write_text(sweep, encoding="utf-8")
+    (root / "decode-table-n2.jsonl").write_text(table, encoding="utf-8")
+    return root
+
+
+class TestCompare:
+    def test_identical_sets(self, tmp_path):
+        lines, differs = golden.compare(write_set(tmp_path / "a"), write_set(tmp_path / "b"))
+        assert not differs
+        assert lines == ["decode-table-n2.jsonl: byte-identical",
+                         "physics-sweep.csv: byte-identical"]
+
+    def test_last_ulp_error_change_is_within_tolerance(self, tmp_path):
+        nudged = SWEEP_CSV.replace(repr(ERROR), repr(math.nextafter(ERROR, 1.0)))
+        assert nudged != SWEEP_CSV
+        lines, differs = golden.compare(write_set(tmp_path / "a"),
+                                        write_set(tmp_path / "b", sweep=nudged))
+        assert not differs
+        assert "physics-sweep.csv error: equal within 1e-09 relative" in lines
+        assert "decode-table-n2.jsonl: byte-identical" in lines
+
+    def test_changed_string_field_is_different(self, tmp_path):
+        changed = TABLE_JSONL.replace('"IDENTITY"', '"SIGMA_Z"')
+        lines, differs = golden.compare(write_set(tmp_path / "a"),
+                                        write_set(tmp_path / "b", table=changed))
+        assert differs
+        assert any(line.startswith("decode-table-n2.jsonl operation: different") for line in lines)
+
+    def test_exit_code(self, tmp_path):
+        old = write_set(tmp_path / "a")
+        new = write_set(tmp_path / "b", table=TABLE_JSONL.replace('"ee"', '"gg"'))
+        for other, code in ((old, 0), (new, 1)):
+            argv = [sys.executable, str(TOOLS / "golden_transcripts.py"), "--compare", old, other]
+            run = subprocess.run(argv, capture_output=True, text=True, check=False)
+            assert run.returncode == code
+        assert "decode-table-n2.jsonl pair: different: row 1: 'ee' -> 'gg'" in run.stdout
+
+
+def test_unreached_on_one_decode_table_run(tmp_path):
+    package = Path(ghzdc.cli.__file__).parent
+    out = tmp_path / "table.jsonl"
+    missing = unreached.unreached(lambda: ghzdc.cli.main(["decode-table", "--out", str(out)]),
+                                  package)
+    assert "cavity.validate_effective_model" in missing
+    assert "protocol.decode" not in missing
+    assert "cli.main" not in missing

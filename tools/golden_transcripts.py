@@ -1,6 +1,8 @@
-"""Write a fixed set of ghzdc CLI transcripts, one data file per invocation.
+"""Write a fixed set of ghzdc CLI transcripts, one data file per invocation,
+or compare two such sets.
 
 Usage: PYTHONPATH=src python3 tools/golden_transcripts.py OUTDIR
+       python3 tools/golden_transcripts.py --compare OLD NEW
 
 The files hold only the data section of each run (the config echo plus the
 records), which is a pure function of the echoed config.  Running this
@@ -10,20 +12,25 @@ moved any CLI data byte.  One run per subcommand passes no flag but
 ``--out``, so the defaults are pinned too, and one session run takes every
 value from a config file the script writes.  ``GHZDC_CONFIG`` is cleared for
 these runs, so the caller's environment cannot reach the transcripts.
+
+``--compare`` gives each file of two sets one of three results: byte-identical;
+numerically equal within the tolerance of each changed column
+(``TOLERANCES``); or different, naming the first differing row of each
+column that differs.  It exits 0 only when nothing is different.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
-
-from ghzdc.cli import main
 
 ADVERSARY_ROUNDS = "2000"
 # Spelled out, not read from ghzdc.cli, so that any checkout's src can be compared.
@@ -94,6 +101,8 @@ def invocations(config_path: Path) -> dict[str, list[str]]:
 
 
 def write_transcripts(outdir: Path) -> int:
+    from ghzdc.cli import main  # here, so that --compare runs without ghzdc
+
     outdir.mkdir(parents=True, exist_ok=True)
     failed = 0
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
@@ -110,7 +119,89 @@ def write_transcripts(outdir: Path) -> int:
     return 1 if failed else 0
 
 
+# Relative tolerance of a numeric column: (command, column) -> tolerance.  The
+# physics-sweep error comes out of an eigensolve; every other number is a closed
+# form or a count.
+TOLERANCES = {("physics-sweep", "error"): 1e-9}
+CLOSED_FORM_TOLERANCE = 1e-12
+
+
+def _columns(path: Path) -> dict[str, list]:
+    """Column name -> cells, in row order.
+
+    A JSON-lines file has one column per record key, and its first line is the
+    ``config`` column; a CSV file has its header's columns, cells as text.
+    """
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        rows = list(csv.DictReader(io.StringIO(text)))
+    else:
+        rows = [json.loads(line) for line in text.splitlines()]
+    keys = dict.fromkeys(key for row in rows for key in row)
+    return {key: [row.get(key) for row in rows] for key in keys}
+
+
+def _number(cell):
+    """The cell as a float when it holds a number (JSON or CSV text), else None."""
+    if isinstance(cell, bool):
+        return None
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def _compare_column(old: list, new: list, tolerance: float) -> str | None:
+    """None when every cell is equal; else "within <tol>" or "different: <first row>"."""
+    verdict = None
+    for row in range(max(len(old), len(new))):
+        a = old[row] if row < len(old) else None
+        b = new[row] if row < len(new) else None
+        if json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True):
+            continue
+        x, y = _number(a), _number(b)
+        if x is None or y is None or not math.isclose(x, y, rel_tol=tolerance, abs_tol=0.0):
+            return f"different: row {row}: {a!r} -> {b!r}"
+        verdict = f"equal within {tolerance:g} relative"
+    return verdict
+
+
+def compare(old_dir: Path, new_dir: Path) -> tuple[list[str], bool]:
+    """One report line per file (per column for a file that is not byte-identical),
+    and whether any file or column is different."""
+    lines, differs = [], False
+    names = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()})
+    for name in names:
+        old, new = old_dir / name, new_dir / name
+        if not (old.is_file() and new.is_file()):
+            lines.append(f"{name}: different: only in {old_dir if old.is_file() else new_dir}")
+            differs = True
+            continue
+        if old.read_bytes() == new.read_bytes():
+            lines.append(f"{name}: byte-identical")
+            continue
+        command = next((c for c in COMMANDS if name.startswith(c)), "")
+        old_columns, new_columns = _columns(old), _columns(new)
+        verdicts = []
+        for column in dict.fromkeys([*old_columns, *new_columns]):
+            tolerance = TOLERANCES.get((command, column), CLOSED_FORM_TOLERANCE)
+            verdict = _compare_column(old_columns.get(column, []), new_columns.get(column, []),
+                                      tolerance)
+            if verdict is not None:
+                verdicts.append(f"{name} {column}: {verdict}")
+                differs = differs or verdict.startswith("different")
+        if not verdicts:  # equal cells in different bytes: key order or number spelling
+            verdicts.append(f"{name}: different: equal cells, different bytes")
+            differs = True
+        lines += verdicts
+    return lines, differs
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        report, differs = compare(Path(sys.argv[2]), Path(sys.argv[3]))
+        print("\n".join(report))
+        sys.exit(1 if differs else 0)
     if len(sys.argv) != 2:
-        sys.exit(__doc__.strip().splitlines()[2])
+        sys.exit("\n".join(__doc__.strip().splitlines()[3:5]))
     sys.exit(write_transcripts(Path(sys.argv[1])))
