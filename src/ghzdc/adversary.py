@@ -34,6 +34,7 @@ from .protocol import (
     SIGNS,
     DecodeKey,
     EncodingOp,
+    RoundStream,
     _honest_post_state,
     bob_interaction,
     measure_decode,
@@ -274,22 +275,22 @@ class MessageStrategy(Strategy):
                 total += p * Fraction(sum(results), len(results))
         return total / len(EncodingOp)
 
-    def sample(self, model: AdversaryModel, rng: np.random.Generator) -> bool:
+    def sample(self, model: AdversaryModel, rng: RoundStream) -> bool:
         """One message round with a uniformly random message; True on a hit."""
-        op = EncodingOp(int(rng.integers(4)))
+        op = EncodingOp(rng.integers(4))
         pair, signs = measure_decode(_honest_post_state(2, op, 2), rng)
         results = self.outcomes(op, DecodeKey(pair, signs[0]))
-        return results[int(rng.integers(len(results)))]
+        return results[rng.integers(len(results))]
 
 
 @dataclass(frozen=True)
 class CheckAttack(Strategy):
     """An eavesdropper acting on check rounds: sampled attacked state and exact detection rate."""
 
-    attacked_state: Callable[[AdversaryModel, np.random.Generator], QuantumState]
+    attacked_state: Callable[[AdversaryModel, RoundStream], QuantumState]
     exact: Callable[[AdversaryModel], Fraction | float]
 
-    def sample(self, model: AdversaryModel, rng: np.random.Generator) -> bool:
+    def sample(self, model: AdversaryModel, rng: RoundStream) -> bool:
         """One check round on the attacked state; True when it flags a violation."""
         return random_check_round(self.attacked_state(model, rng), rng).violation
 

@@ -44,6 +44,18 @@ MODEL_FLAGS = {strategy.flag: kind for kind, strategy in STRATEGIES.items()}
 _MODEL_FIELD_KEYS = {"basis": "intercept_basis"}
 
 
+# Characters of a rejected value that an error message shows; longer values are cut.
+ECHO_CHARS = 60
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message: whole, or its first ECHO_CHARS characters and its length."""
+    text = repr(value)
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
 def _flag_type(parse, kind: str, ok=None, bound: str = ""):
     """A flag type whose errors say what the value must be.
 
@@ -56,9 +68,9 @@ def _flag_type(parse, kind: str, ok=None, bound: str = ""):
         try:
             value = parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {_shown(text)}") from None
         if ok is not None and not ok(value):
-            raise argparse.ArgumentTypeError(f"must {bound}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must {bound}, got {_shown(text)}")
         return value
 
     return convert
@@ -152,15 +164,15 @@ def _file_value(key: str, raw):
     options = FLAGS[key][1]
     parse = options.get("type")
     if isinstance(raw, str) != (parse is None):
-        raise ValueError(f"config key {key!r}: {raw!r} has the wrong JSON type")
+        raise ValueError(f"config key {key!r}: {_shown(raw)} has the wrong JSON type")
     text = ",".join(map(str, raw)) if isinstance(raw, list) else str(raw)
     try:
         value = text if parse is None else parse(text)
     except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"config key {key!r}: {raw!r}: {exc}") from None
+        raise ValueError(f"config key {key!r}: {_shown(raw)}: {exc}") from None
     choices = options.get("choices")
     if choices is not None and value not in choices:
-        raise ValueError(f"config key {key!r}: {raw!r} is not one of {list(choices)}")
+        raise ValueError(f"config key {key!r}: {_shown(raw)} is not one of {list(choices)}")
     return value
 
 

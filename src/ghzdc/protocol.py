@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 
@@ -335,19 +336,129 @@ class SessionRecord:
         }
 
 
-def round_rng(seed: int, round_index: int, stream: int = 0) -> np.random.Generator:
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, multiplier: int, count: int) -> tuple[tuple[int, int], ...]:
+    """(xor, multiplier) of a hash family's first ``count`` calls; they do not depend on the data."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((init, init * multiplier & _MASK32))
+        init = pairs[-1][1]
+    return tuple(pairs)
+
+
+def _hashed(words, hashes) -> list[int]:
+    """Each word hashed with its (xor, multiplier) pair, as far as both run."""
+    out = []
+    for word, (xor, multiplier) in zip(words, hashes):
+        value = (word ^ xor) * multiplier & _MASK32
+        out.append(value ^ value >> 16)
+    return out
+
+
+# SeedSequence's two hash families: the entropy hashes (the first four fill the pool)
+# and the hashes of the eight output words.
+_ENTROPY_HASH = (0x43B0D7E5, 0x931E8875)
+_POOL_HASHES = _hash_constants(*_ENTROPY_HASH, 4)
+_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+@functools.lru_cache(maxsize=8)
+def _mix_steps(n_words: int) -> tuple[tuple[int, int, int, int], ...]:
+    """SeedSequence's pool mixing for ``n_words`` entropy words: (source, target, xor, multiplier).
+
+    Each pool word (indices 0-3) is mixed into every other one, then each
+    entropy word past the fourth (indices 4 on) into every pool word.
+    """
+    steps = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    steps += [(src, dst) for src in range(4, n_words) for dst in range(4)]
+    hashes = _hash_constants(*_ENTROPY_HASH, 4 + len(steps))[4:]
+    return tuple(step + pair for step, pair in zip(steps, hashes))
+
+
+def _entropy_words(numbers) -> list[int]:
+    """Little-endian 32-bit words of each non-negative integer in turn; 0 gives [0]."""
+    words = []
+    for n in map(operator.index, numbers):
+        if n < 0:
+            raise ValueError(f"expected non-negative integer, got {n}")
+        words.append(n & _MASK32)
+        while n := n >> 32:
+            words.append(n & _MASK32)
+    return words
+
+
+class RoundStream:
+    """A PCG64 (XSL-RR) stream with the two draws of the replay rule, ``random`` and ``integers``."""
+
+    __slots__ = ("_state", "_inc", "_upper")
+
+    def __init__(self, state: int, inc: int):
+        self._state, self._inc, self._upper = state, inc, None
+
+    def _next64(self) -> int:
+        # Step the 128-bit LCG, then xor its halves and rotate right by its top 6 bits.
+        self._state = state = (self._state * _PCG64_MULTIPLIER + self._inc) & _MASK128
+        word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def random(self) -> float:
+        """Uniform float in [0, 1): the top 53 bits of one 64-bit output."""
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, k: int) -> int:
+        """Uniform int in [0, k), 1 <= k <= 2**32, by Lemire's rejection on 32-bit draws.
+
+        A 64-bit output gives two 32-bit draws, low half first; the high half
+        waits for the next draw, across ``random`` calls.  k = 1 draws nothing.
+        """
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"k must lie in [1, 2**32], got {k}")
+        if k == 1:
+            return 0
+        threshold = (1 << 32) % k
+        while True:
+            if self._upper is None:
+                word = self._next64()
+                word, self._upper = word & _MASK32, word >> 32
+            else:
+                word, self._upper = self._upper, None
+            product = word * k
+            if product & _MASK32 >= threshold:
+                return product >> 32
+
+
+def round_rng(seed: int, round_index: int, stream: int = 0) -> RoundStream:
     """Independent per-round stream: (master seed, round counter, stream id).
 
     Stream 0 drives the round itself; stream 1 draws random messages in
-    batch runs.  The triple feeds ``numpy.random.SeedSequence`` directly,
-    so results are stable across platforms and can be parallelized by
-    round without coordination.
+    batch runs.  The triple's little-endian 32-bit words are hashed into a
+    four-word pool and expanded to eight words (numpy's ``SeedSequence``,
+    after O'Neill's ``seed_seq_fe``); they seed a 128-bit PCG64 state and
+    increment, whose XSL-RR outputs feed ``RoundStream``'s draws.  Every draw
+    equals the one ``numpy.random.default_rng(SeedSequence((seed, round_index,
+    stream)))`` gives, bit for bit, but it is computed here: numpy is not
+    consulted and ``numpy.random`` is never imported (the tests keep numpy's
+    generator as the oracle).  So results are stable across platforms and
+    numpy versions, and rounds can be parallelized without coordination.
     """
-    return np.random.default_rng(np.random.SeedSequence((seed, round_index, stream)))
+    entropy = _entropy_words((seed, round_index, stream))
+    words = _hashed(entropy + [0, 0, 0], _POOL_HASHES) + entropy[4:]
+    for src, dst, xor, multiplier in _mix_steps(len(entropy)):
+        value = (words[src] ^ xor) * multiplier & _MASK32
+        value = (0xCA01F9DD * words[dst] - 0x4973F715 * (value ^ value >> 16)) & _MASK32
+        words[dst] = value ^ value >> 16
+    w = _hashed(words[:4] * 2, _STATE_HASHES)
+    # Words pair up little-endian into four uint64s: (seed high, seed low, inc high, inc low).
+    seed128 = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+    inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _MASK128
+    return RoundStream(((seed128 + inc) * _PCG64_MULTIPLIER + inc) & _MASK128, inc)
 
 
 def measure_decode(
-    state: QuantumState, rng: np.random.Generator, receiver_qubit: int = 2
+    state: QuantumState, rng: RoundStream, receiver_qubit: int = 2
 ) -> tuple[str, tuple[str, ...]]:
     """Step-4 measurements: receiver pair in computational, everyone else in +/-.
 
@@ -365,7 +476,7 @@ def measure_decode(
     return pair, tuple(SIGNS[result] for result in results)
 
 
-def random_check_round(state: QuantumState, rng: np.random.Generator, n_parties: int = 3) -> CheckRecord:
+def random_check_round(state: QuantumState, rng: RoundStream, n_parties: int = 3) -> CheckRecord:
     """Check round on qubits 1..n_parties with bases and results drawn from ``rng``.
 
     The replay rule fixes the draw order: all bases first, then one uniform per party.
@@ -422,6 +533,6 @@ def run_rounds(
     for idx in range(rounds):
         msg = message_bits
         if msg is None:
-            msg = int(round_rng(config.rng_seed, idx, stream=1).integers(4))
+            msg = round_rng(config.rng_seed, idx, stream=1).integers(4)
         records.append(run_session(config, msg, idx))
     return records

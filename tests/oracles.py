@@ -1,6 +1,7 @@
 """Test-only references: the paper's two atom-pair generators, single-qubit Born
 probabilities, the Born-rule enumeration of a message round, basis states by
-label, and state comparisons (entrywise and up to a global phase)."""
+label, state comparisons (entrywise and up to a global phase), and numpy's
+generator for the per-round streams."""
 
 import numpy as np
 
@@ -97,3 +98,18 @@ def global_phase_equal(a: QuantumState, b: QuantumState, tol: float = TOL_EQ) ->
         return bool(np.max(np.abs(a.amplitudes - b.amplitudes)) <= tol)
     phase = overlap / abs(overlap)
     return bool(np.max(np.abs(a.amplitudes - phase * b.amplitudes)) <= tol)
+
+
+def numpy_round_rng(seed: int, round_index: int, stream: int = 0) -> np.random.Generator:
+    """numpy's generator for a (seed, round, stream) triple: the replay rule that
+    ``protocol.round_rng`` reproduces bit for bit."""
+    return np.random.default_rng(np.random.SeedSequence((seed, round_index, stream)))
+
+
+def numpy_pcg64(state: int, inc: int) -> np.random.Generator:
+    """numpy's generator on a raw PCG64 state and increment, with no 32-bit draw buffered."""
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng

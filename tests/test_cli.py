@@ -26,6 +26,12 @@ TOO_MANY = [0] * (MAX_GRID_POINTS + 1)
 TOO_MANY_TEXT = ",".join(map(str, TOO_MANY))
 
 
+def shown(value) -> str:
+    """A rejected value as an error message shows it: whole up to 60 characters, else cut and measured."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 class TestSession:
     def test_honest_rounds_decode_perfectly(self, capsys):
         code, out, err = run_cli(
@@ -281,7 +287,7 @@ class TestFlagErrors:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({key: raw}))
             code, out, err = run_cli([command, "--config", str(cfg)], capsys)
-            assert f"config key {key!r}: {raw!r}: {reason}" in err
+            assert f"config key {key!r}: {shown(raw)}: {reason}" in err
         else:
             flag = "--" + key.replace("_", "-")
             with pytest.raises(SystemExit) as exc:
@@ -291,8 +297,17 @@ class TestFlagErrors:
             assert f"argument {flag}: {reason}" in err
         assert code == 2
         assert out == ""
-        assert f"got {text!r}" in err
+        assert f"got {shown(text)}" in err
+        assert len(err) < 1000  # a 100,001-entry value is not echoed whole
         assert re.search(r"(?<!\w)_[a-z]", err) is None  # no private helper name
+
+    def test_long_value_echo_is_cut_and_measured(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon_grid": TOO_MANY}))
+        code, out, err = run_cli(["timing-sweep", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "config key 'epsilon_grid': [" + "0, " * 19 + "0,... (300003 characters): must be" in err
+        assert "got '" + "0," * 29 + "0... (200003 characters)" in err
 
     def test_bounds_are_inclusive(self):
         # Parse only: running this many rounds or grid points would take about a minute.

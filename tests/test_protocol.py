@@ -6,14 +6,20 @@ are independent of the package's own gate plumbing.  Basis order: qubit 1
 is the most significant bit, e before g (|eee>=0, ..., |ggg>=7).
 """
 
+import os
+import random
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghzdc
 from ghzdc.protocol import (
     PAIRS,
     DECODE_TABLE,
@@ -22,6 +28,7 @@ from ghzdc.protocol import (
     DecodeKey,
     EncodingOp,
     Role,
+    RoundStream,
     SessionConfig,
     bob_interaction,
     decode,
@@ -41,7 +48,15 @@ from ghzdc.qstate import (
     QuantumState,
     outcome_distribution,
 )
-from oracles import allclose, amplitude, basis_state, born_probabilities, global_phase_equal
+from oracles import (
+    allclose,
+    amplitude,
+    basis_state,
+    born_probabilities,
+    global_phase_equal,
+    numpy_pcg64,
+    numpy_round_rng,
+)
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -395,6 +410,88 @@ class TestRunSession:
         assert round_rng(1, 2).random() == round_rng(1, 2).random()
         assert round_rng(1, 2).random() != round_rng(1, 3).random()
         assert round_rng(1, 2, stream=1).random() != round_rng(1, 2, stream=0).random()
+
+
+class TestRoundStream:
+    """``round_rng`` replays numpy's SeedSequence -> PCG64 draws bit for bit, without numpy.random."""
+
+    # random(), integers(4), integers(3), random(), integers(5), integers(2) of three triples.
+    PINNED = {
+        (0, 0, 0): [0.6369616873214543, 2, 0, 0.04097352393619469, 0, 0],
+        (2024, 17, 1): [0.5134129931905469, 0, 2, 0.9547266339188764, 0, 0],
+        (2**64 + 3, 999_999, 0): [0.18194939494676465, 2, 1, 0.8143308332279235, 1, 1],
+    }
+
+    @staticmethod
+    def draws(rng, ks):
+        """One draw per entry of ``ks``: ``random()`` for None, else ``integers(k)``, as Python numbers."""
+        return [float(rng.random()) if k is None else int(rng.integers(k)) for k in ks]
+
+    @pytest.mark.parametrize("triple", sorted(PINNED))
+    def test_pinned_draws(self, triple):
+        assert self.draws(round_rng(*triple), [None, 4, 3, None, 5, 2]) == self.PINNED[triple]
+
+    def test_matches_numpy_on_ten_thousand_triples(self):
+        chooser = random.Random(17)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 3, 2**128 + 7, 2**300]
+        triples = [(seed, round_index, stream)
+                   for seed in seeds for round_index in (0, 1, 999_999) for stream in (0, 1)]
+        while len(triples) < 10_000:
+            bits = chooser.choice((8, 32, 33, 64, 65, 96, 200))
+            round_index = chooser.choice((0, chooser.randrange(10**6), chooser.randrange(2**40)))
+            triples.append((chooser.getrandbits(bits), round_index, chooser.randrange(2)))
+        mismatched = []
+        for triple in triples:
+            ks = [chooser.choice((None, None, 1, 2, 3, 4, 5)) for _ in range(6)]
+            if self.draws(round_rng(*triple), ks) != self.draws(numpy_round_rng(*triple), ks):
+                mismatched.append((triple, ks))
+        assert mismatched == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_integers_interleaved_with_random(self, k):
+        # The upper half of a 64-bit output waits across random() calls; k = 1 draws nothing.
+        ks = [k, None, k, k, None, None, k, k, k, None] * 20
+        for round_index in range(20):
+            ours = self.draws(round_rng(9, round_index, 1), ks)
+            assert ours == self.draws(numpy_round_rng(9, round_index, 1), ks)
+
+    def test_k_one_draws_nothing(self):
+        assert self.draws(round_rng(9, 0), [1, 1, None]) == [0, 0, round_rng(9, 0).random()]
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_lemire_rejection(self, k):
+        # A state whose next output's low half is 0: the 32-bit draw 0 is rejected for
+        # k = 3 and 5 (2**32 mod k = 1), and the buffered upper half is drawn next.
+        inc = 0x5851F42D4C957F2D14057B7EF767814F
+        upper = 0x9E3779B9
+        after = (12345 << 64) | 12345 ^ (upper << 32)  # top 6 bits 0: no rotation
+        multiplier = 0x2360ED051FC65DA44385DF649FCCF645
+        before = (after - inc) * pow(multiplier, -1, 2**128) % 2**128
+        ks = [k] * 8 + [None, k]
+        assert self.draws(RoundStream(before, inc), ks) == self.draws(numpy_pcg64(before, inc), ks)
+        assert RoundStream(before, inc).integers(k) == upper * k >> 32
+
+    @pytest.mark.parametrize("triple", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+    def test_negative_entropy_raises(self, triple):
+        with pytest.raises(ValueError, match="non-negative"):
+            round_rng(*triple)
+        with pytest.raises(ValueError):
+            numpy_round_rng(*triple)
+
+    @pytest.mark.parametrize("argv", [
+        ["session", "--rounds", "40", "--p-check", "0.3"],
+        ["adversary", "--model", "intercept-resend", "--rounds", "200"],
+    ])
+    def test_cli_run_leaves_numpy_random_unloaded(self, argv):
+        env = dict(os.environ)
+        src = str(Path(ghzdc.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("GHZDC_CONFIG", None)
+        code = ("import sys; from ghzdc.cli import main; main(sys.argv[1:]); "
+                "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)), file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", os.devnull], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stderr.splitlines()[-1] == "[]"
 
 
 class TestDecodeNOracle:
