@@ -188,7 +188,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     resolved = {key: default for key, (default, _) in FLAGS.items()}
     for key, raw in file_values.items():
         if key not in FLAGS:
-            raise ValueError(f"unknown config key {key!r} (keys are flag names with '-' as '_')")
+            raise ValueError(f"unknown config key {_shown(key)} (keys are flag names with '-' as '_')")
         if raw is not None:
             resolved[key] = _file_value(key, raw)
     for key in FLAGS:

@@ -309,6 +309,18 @@ class TestFlagErrors:
         assert "config key 'epsilon_grid': [" + "0, " * 19 + "0,... (300003 characters): must be" in err
         assert "got '" + "0," * 29 + "0... (200003 characters)" in err
 
+    @pytest.mark.parametrize("key,echo", [
+        ("sed", "'sed'"),
+        ("k" * 100_000, "'" + "k" * 59 + "... (100002 characters)"),
+    ])
+    def test_unknown_key_is_named(self, key, echo, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, out, err = run_cli(["session", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert f"unknown config key {echo} (keys are flag names" in err
+        assert len(err) < 1000
+
     def test_bounds_are_inclusive(self):
         # Parse only: running this many rounds or grid points would take about a minute.
         assert build_parser().parse_args(["session", f"--rounds={MAX_ROUNDS}"]).rounds == MAX_ROUNDS
