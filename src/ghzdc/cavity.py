@@ -12,13 +12,11 @@ of that system live here:
    drive rotation and ``~`` the flipped level.  It is the ordered product of
    the drive and the paper's dispersive generator, written out in its docstring.
 2. ``full_hamiltonian`` -- the driven Tavis-Cummings model on a truncated
-   Fock space, expressed in the frame rotating at the drive frequency so the
-   generator is time independent.  ``validate_effective_model`` evolves it
-   numerically and reports how far the reduced atomic dynamics strays from
-   the closed form.  The atom-exchange singlet is dark to cavity and drive,
-   so only the exchange-symmetric (triplet) block is diagonalized.  That
-   block is gathered photon-major (index ``3 * n + slot``), which keeps it
-   banded, and the weighted input columns are propagated in real arithmetic.
+   Fock space, in the frame rotating at the drive frequency, built directly
+   as its exchange-symmetric (triplet) block, photon-major and banded, and
+   the energies of the dark singlet.  ``validate_effective_model`` propagates
+   the weighted input columns in real arithmetic and reports how far the
+   reduced atomic dynamics strays from the closed form.
 
 Operator convention: the raising operator is ``S+ = |e><g|`` (so the
 ``a_dagger S-`` coupling term conserves excitation number).  Atom ordering
@@ -159,29 +157,39 @@ def effective_unitary(pulse: PulseParams) -> np.ndarray:
     return out
 
 
-def full_hamiltonian(params: CavityParams, fock: FockSpace) -> np.ndarray:
-    """Driven two-atom Tavis-Cummings generator in the drive rotating frame.
+def full_hamiltonian(params: CavityParams, fock: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Driven two-atom Tavis-Cummings generator in the drive rotating frame, as ``(block, singlet)``.
 
-    Ordering is atoms (x) cavity with the atom pair index major.  The drive is
-    resonant with the atoms, so in this frame the bare terms leave ``-delta n``
-    on every pair state, plus the exchange coupling and the now-static drive.
-    Every matrix element is real, so the generator is returned as a real
-    symmetric ``float64`` array.
+    The resonant drive's frame leaves ``-delta n`` on every pair state.  Atom exchange
+    commutes with the generator and the singlet (|eg> - |ge>)/sqrt2 is dark to cavity
+    and drive, so in the pair basis (ee, T0, S, gg), T0 = (eg + ge)/sqrt2, it splits
+    into the real symmetric triplet ``block`` and the singlet energy at each n.  Row
+    ``3 * n + slot`` of the block is ``|slot, n>`` for slot (ee, T0, gg): ``-delta n``
+    on the diagonal, sqrt2 Omega between T0 and ee or gg, and sqrt2 g sqrt(n+1) from
+    |ee, n> to |T0, n+1> and from |T0, n> to |gg, n+1> (S-_j a^dagger), plus transposes.
+
+    Each sqrt2 entry is ``(x + x) * _SQRT_HALF`` and each T0 or S diagonal
+    ``(b * _SQRT_HALF + b * _SQRT_HALF) * _SQRT_HALF``, as the pair rotation of the
+    atoms (x) cavity generator computes them, so the two agree bit for bit.  The
+    photon-major order keeps the block banded: ``eigh`` is faster on it at ``n_max``
+    96 but meets subnormals and is slower at 400, so it stays unless a workload at
+    ``n_max`` >= 200 is added.
     """
-    nc = fock.levels
-    n = np.arange(nc)
-    h = np.diag(np.tile(-params.delta * n.astype(float), 4))
-    exchange = params.g * np.sqrt(n[1:])
-    for pair in range(4):
-        for bit in (2, 1):  # atom 1 is the most significant bit of the pair index
-            flipped = pair ^ bit
-            h[pair * nc + n, flipped * nc + n] = params.omega_rabi
-            if not pair & bit:
-                # The atom is excited in ``pair``: S-_j a^dagger takes |pair, m> to
-                # |flipped, m+1> with amplitude g sqrt(m+1); S+_j a is its transpose.
-                h[flipped * nc + n[1:], pair * nc + n[:-1]] = exchange
-                h[pair * nc + n[:-1], flipped * nc + n[1:]] = exchange
-    return h
+    levels = fock.levels
+    n = np.arange(levels)
+    bare = -params.delta * n
+    singlet = (bare * _SQRT_HALF + bare * _SQRT_HALF) * _SQRT_HALF
+    drive = (params.omega_rabi + params.omega_rabi) * _SQRT_HALF
+    x = params.g * np.sqrt(n[1:])
+    exchange = (x + x) * _SQRT_HALF
+    m = n[:-1]
+    block = np.zeros((levels, 3, levels, 3))
+    block[n, 0, n, 0] = block[n, 2, n, 2] = bare
+    block[n, 1, n, 1] = singlet
+    block[n, 0, n, 1] = block[n, 1, n, 0] = block[n, 1, n, 2] = block[n, 2, n, 1] = drive
+    block[m + 1, 1, m, 0] = block[m, 0, m + 1, 1] = exchange  # |ee, m> <-> |T0, m+1>
+    block[m + 1, 2, m, 1] = block[m, 1, m + 1, 2] = exchange  # |T0, m> <-> |gg, m+1>
+    return block.reshape(3 * levels, 3 * levels), singlet
 
 
 def _cavity_weights(initial_cavity, levels: int) -> np.ndarray:
@@ -214,30 +222,6 @@ def _exchange_reflect(x: np.ndarray) -> None:
         pairs[1], pairs[2] = (pairs[1] + pairs[2]) * _SQRT_HALF, (pairs[1] - pairs[2]) * _SQRT_HALF
 
 
-def _exchange_split(h: np.ndarray, fock_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triplet block of the generator ``h``, photon-major, and its singlet energies at ``fock_in``.
-
-    Row and column ``3 * n + slot`` of the block is ``|slot, n>`` for slot (ee, T0, gg)
-    and photon number n.  T0 and S are formed on rows first, then on columns, as
-    ``_exchange_reflect`` does.  In this order the block is banded: drive and
-    exchange coupling reach at most one photon number away.  ``h`` is overwritten.
-    """
-    levels = h.shape[0] // 4
-    h = h.reshape(4, levels, 4, levels)
-    n = fock_in
-    singlet = ((h[1, n, 1, n] - h[2, n, 1, n]) * _SQRT_HALF
-               - (h[1, n, 2, n] - h[2, n, 2, n]) * _SQRT_HALF) * _SQRT_HALF
-    h[1] += h[2]
-    h[1] *= _SQRT_HALF  # pair row 1 is now T0
-    block = np.empty((levels, 3, levels, 3))
-    for slot, rows in enumerate((h[0], h[1], h[3])):
-        block[:, slot, :, 0] = rows[:, 0]
-        t0 = np.add(rows[:, 1], rows[:, 2], out=block[:, slot, :, 1])
-        t0 *= _SQRT_HALF
-        block[:, slot, :, 2] = rows[:, 3]
-    return block.reshape(3 * levels, 3 * levels), singlet
-
-
 def validate_effective_model(
     params: CavityParams,
     fock: FockSpace,
@@ -264,13 +248,9 @@ def validate_effective_model(
     levels = fock.levels
     weights = _cavity_weights(initial_cavity, levels)
     fock_in = np.flatnonzero(weights)
-    # Atom exchange commutes with the generator, and the singlet (|eg> - |ge>)/sqrt2
-    # is dark to cavity and drive alike: in the pair basis (ee, T0, S, gg) the
-    # generator splits into a triplet block on pair slots 0, 1, 3 (3 * levels
-    # dimensions) and a diagonal singlet block on slot 2, -delta n.
-    block, singlet_energies = _exchange_split(full_hamiltonian(params, fock), fock_in)
+    block, singlet = full_hamiltonian(params, fock)
     energies, modes = np.linalg.eigh(block)
-    top = max(np.abs(energies).max(), np.abs(singlet_energies).max())
+    top = max(np.abs(energies).max(), np.abs(singlet[fock_in]).max())
     phase_error = np.finfo(float).eps * top * duration
     if not phase_error <= MAX_PHASE_ERROR:
         raise ValueError(
@@ -291,7 +271,7 @@ def validate_effective_model(
     in_triplet = np.ix_(_TRIPLET_SLOTS, range(levels), _TRIPLET_SLOTS, range(k))
     outputs.real[in_triplet] = waves[0]
     outputs.imag[in_triplet] = -waves[1]
-    outputs[2, fock_in, 2, range(k)] = np.exp(-1j * singlet_energies * duration)
+    outputs[2, fock_in, 2, range(k)] = np.exp(-1j * singlet[fock_in] * duration)
     _exchange_reflect(outputs)
     branches = outputs.transpose(2, 3, 0, 1)  # [atom_in, fock_in, pair, n]
     leak = np.sum(np.abs(branches[..., -1]) ** 2, axis=-1)  # [atom_in, fock_in]

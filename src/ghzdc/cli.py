@@ -106,20 +106,28 @@ _epsilon_grid = _flag_type(_grid, "'start:stop:count' with an integer count in "
                            f"{MAX_GRID_POINTS} numbers")
 
 
+def _one_of(values) -> dict:
+    """Options of a flag that takes one of ``values``, parsed as their type and listed in --help."""
+    values = list(values)
+    kind = f"one of {values}"
+    return {"type": _flag_type(type(values[0]), kind, values.__contains__, f"be {kind}"),
+            "metavar": "{" + ",".join(map(str, values)) + "}"}
+
+
 # Config key (the flag name with '-' as '_') -> (default, add_argument options).
 FLAGS = {
     "seed": (0, {"type": _non_negative_int}),
     "out": ("-", {"help": "output path, '-' for stdout"}),
-    "format": ("json", {"choices": ("json", "csv")}),
+    "format": ("json", _one_of(("json", "csv"))),
     "rounds": (1000, {"type": _rounds}),
     "p_check": (0.1, {"type": _probability}),
     "n_users": (2, {"type": _integer}),
-    "message": (None, {"type": _integer, "choices": range(4),
-                       "help": "fix the 2-bit message; random per round when absent"}),
-    "receiver": ("bob", {"choices": ("bob", "charlie")}),
-    "model": ("honest", {"choices": sorted(MODEL_FLAGS)}),
-    "target_qubit": (2, {"type": _integer, "choices": (2, 3)}),
-    "intercept_basis": ("computational", {"choices": sorted(INTERCEPT_BASES)}),
+    "message": (None, _one_of(range(4))
+                | {"help": "fix the 2-bit message; random per round when absent"}),
+    "receiver": ("bob", _one_of(("bob", "charlie"))),
+    "model": ("honest", _one_of(sorted(MODEL_FLAGS))),
+    "target_qubit": (2, _one_of((2, 3))),
+    "intercept_basis": ("computational", _one_of(sorted(INTERCEPT_BASES))),
     "theta": (math.pi / 4, {"type": _finite_float}),
     "delta_over_g": ([10.0, 20.0, 40.0], {"type": _float_list}),
     "omega_over_delta": (20.0, {"type": _real}),
@@ -159,21 +167,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _file_value(key: str, raw):
     """Parse a config-file value as its flag parses the same command-line text.
 
-    Text flags take a JSON string; the others a JSON number, or a list for list flags.
+    Text flags, those with a text default, take a JSON string; the others a JSON
+    number, or a list for list flags.
     """
-    options = FLAGS[key][1]
-    parse = options.get("type")
-    if isinstance(raw, str) != (parse is None):
+    default, options = FLAGS[key]
+    if isinstance(raw, str) != isinstance(default, str):
         raise ValueError(f"config key {key!r}: {_shown(raw)} has the wrong JSON type")
     text = ",".join(map(str, raw)) if isinstance(raw, list) else str(raw)
     try:
-        value = text if parse is None else parse(text)
+        return options.get("type", str)(text)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"config key {key!r}: {_shown(raw)}: {exc}") from None
-    choices = options.get("choices")
-    if choices is not None and value not in choices:
-        raise ValueError(f"config key {key!r}: {_shown(raw)} is not one of {list(choices)}")
-    return value
 
 
 def resolve_config(args: argparse.Namespace) -> dict:

@@ -1,11 +1,11 @@
-"""Test-only references: the paper's two atom-pair generators, single-qubit Born
-probabilities, the Born-rule enumeration of a message round, basis states by
-label, state comparisons (entrywise and up to a global phase), and numpy's
-generator for the per-round streams."""
+"""Test-only references: the paper's two atom-pair generators, the dense atoms (x)
+cavity generator, single-qubit Born probabilities, the Born-rule enumeration of a
+message round, basis states by label, state comparisons (entrywise and up to a
+global phase), and numpy's generator for the per-round streams."""
 
 import numpy as np
 
-from ghzdc.cavity import CavityParams
+from ghzdc.cavity import CavityParams, FockSpace
 from ghzdc.protocol import SIGNS, DecodeKey, EncodingOp, bob_interaction, encode, prepare_ghz
 from ghzdc.qstate import (
     COMPUTATIONAL,
@@ -48,6 +48,31 @@ def _propagator(h: np.ndarray, t: float) -> np.ndarray:
     # exp(-i h t) of a Hermitian generator, from its eigendecomposition.
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def dense_hamiltonian(params: CavityParams, fock: FockSpace) -> np.ndarray:
+    """Driven two-atom Tavis-Cummings generator in the drive rotating frame, as one dense matrix.
+
+    Ordering is atoms (x) cavity with the atom pair index major.  The drive is
+    resonant with the atoms, so in this frame the bare terms leave ``-delta n``
+    on every pair state, plus the exchange coupling and the now-static drive.
+    Every matrix element is real, so the generator is returned as a real
+    symmetric ``float64`` array.
+    """
+    nc = fock.levels
+    n = np.arange(nc)
+    h = np.diag(np.tile(-params.delta * n.astype(float), 4))
+    exchange = params.g * np.sqrt(n[1:])
+    for pair in range(4):
+        for bit in (2, 1):  # atom 1 is the most significant bit of the pair index
+            flipped = pair ^ bit
+            h[pair * nc + n, flipped * nc + n] = params.omega_rabi
+            if not pair & bit:
+                # The atom is excited in ``pair``: S-_j a^dagger takes |pair, m> to
+                # |flipped, m+1> with amplitude g sqrt(m+1); S+_j a is its transpose.
+                h[flipped * nc + n[1:], pair * nc + n[:-1]] = exchange
+                h[pair * nc + n[:-1], flipped * nc + n[1:]] = exchange
+    return h
 
 
 def born_probabilities(state, qubit: int, basis) -> tuple[float, float]:

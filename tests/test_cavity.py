@@ -26,7 +26,6 @@ from ghzdc.cavity import (
     TruncationWarning,
     _cavity_weights,
     _exchange_reflect,
-    _exchange_split,
     effective_unitary,
     full_hamiltonian,
     validate_effective_model,
@@ -37,6 +36,7 @@ from ghzdc.qstate import IDENTITY, SIGMA_X
 from oracles import (
     S_MINUS,
     S_PLUS,
+    dense_hamiltonian,
     drive_hamiltonian,
     effective_hamiltonian,
     evolution_operator,
@@ -79,6 +79,24 @@ def kron_chain_hamiltonian(params, fock):
     return h
 
 
+def exchange_rotated(h, levels):
+    """A pair-major generator in the pair basis (ee, T0, S, gg), by elementwise row and column sums."""
+    s = np.sqrt(0.5)
+    h4 = h.reshape(4, levels, 4, levels)
+    rows = np.stack([h4[0], (h4[1] + h4[2]) * s, (h4[1] - h4[2]) * s, h4[3]])
+    both = np.stack([rows[:, :, 0], (rows[:, :, 1] + rows[:, :, 2]) * s,
+                     (rows[:, :, 1] - rows[:, :, 2]) * s, rows[:, :, 3]], axis=2)
+    return both.reshape(4 * levels, 4 * levels)
+
+
+def rotated_split(h, levels):
+    """The photon-major triplet block and the singlet energies of a pair-major generator."""
+    rotated = exchange_rotated(h, levels).reshape(4, levels, 4, levels)
+    triplet = rotated[[0, 1, 3]][:, :, [0, 1, 3]]  # [slot, n, slot, m]
+    n = np.arange(levels)
+    return triplet.transpose(1, 0, 3, 2).reshape(3 * levels, 3 * levels), rotated[2, n, 2, n]
+
+
 def dense_expm_validation(params, fock, pulse, weights):
     """Reference validation error: full propagator from scipy's expm, every branch kept."""
     lam = params.dispersive_coupling
@@ -114,7 +132,7 @@ def slot_major_validation(params, fock, pulse, initial_cavity=0):
     weights = _cavity_weights(initial_cavity, levels)
     fock_in = np.flatnonzero(weights)
     slots = np.array([0, 1, 3])
-    h = full_hamiltonian(params, fock).reshape(4, levels, 4, levels)
+    h = dense_hamiltonian(params, fock).reshape(4, levels, 4, levels)
     _exchange_reflect(h)
     singlet_energies = h[2, :, 2].diagonal()[fock_in]
     h = h.take(slots, axis=0).take(slots, axis=2)
@@ -323,39 +341,37 @@ class TestEvolutionOperator:
 
 
 class TestFullHamiltonian:
+    """The directly built triplet block: photon-major, row ``3 * n + slot`` for slot (ee, T0, gg)."""
+
     def test_hermitian(self):
-        h = full_hamiltonian(params_for(), FockSpace(4))
-        assert np.max(np.abs(h - h.conj().T)) < 1e-12
+        block, singlet = full_hamiltonian(params_for(), FockSpace(4))
+        assert block.dtype == singlet.dtype == np.float64
+        assert np.array_equal(block, block.T)
 
     def test_decoupled_limit_is_diagonal(self):
         p = CavityParams(g=0.0, delta=10.0, omega_rabi=0.0)
-        h = full_hamiltonian(p, FockSpace(3))
-        assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-14
-        # Bare cavity detuning in the rotating frame: -delta per photon.
-        levels = np.diag(h).real.reshape(4, 4)
-        assert np.max(np.abs(levels[0] - (-10.0) * np.arange(4))) < 1e-12
+        block, singlet = full_hamiltonian(p, FockSpace(3))
+        assert np.max(np.abs(block - np.diag(np.diag(block)))) < 1e-14
+        # Bare cavity detuning in the rotating frame: -delta per photon on every slot.
+        bare = -10.0 * np.arange(4)
+        assert np.max(np.abs(np.diag(block).reshape(4, 3) - bare[:, None])) < 1e-12
+        assert np.max(np.abs(singlet - bare)) < 1e-12
 
     def test_coupling_connects_adjacent_fock_levels_only(self):
-        p = params_for()
-        fock = FockSpace(5)
-        h = full_hamiltonian(p, fock)
-        nc = fock.levels
-        for i in range(4 * nc):
-            for j in range(4 * nc):
-                if abs((i % nc) - (j % nc)) > 1 and abs(h[i, j]) > 0:
-                    pytest.fail(f"coupling between Fock levels {i % nc} and {j % nc}")
+        block, _ = full_hamiltonian(params_for(), FockSpace(5))
+        rows, cols = np.nonzero(block)
+        assert np.max(np.abs(rows // 3 - cols // 3)) == 1
 
     def test_single_excitation_matrix_element(self):
-        """<gg, n+1| H |eg, n> = g sqrt(n+1) from the ladder algebra."""
+        """<gg, n+1| H |T0, n> = <T0, n+1| H |ee, n> = sqrt2 g sqrt(n+1) from the ladder algebra."""
         g = 1.7
         p = CavityParams(g=g, delta=10.0, omega_rabi=200.0)
         fock = FockSpace(6)
-        nc = fock.levels
-        h = full_hamiltonian(p, fock)
+        block, _ = full_hamiltonian(p, fock)
         for n in range(fock.n_max):
-            row = 3 * nc + (n + 1)  # |gg, n+1>
-            col = 1 * nc + n        # |eg, n>
-            assert h[row, col] == pytest.approx(g * np.sqrt(n + 1), abs=1e-12)
+            expected = np.sqrt(2) * g * np.sqrt(n + 1)
+            assert block[3 * (n + 1) + 2, 3 * n + 1] == pytest.approx(expected, abs=1e-12)
+            assert block[3 * (n + 1) + 1, 3 * n] == pytest.approx(expected, abs=1e-12)
 
     def test_n_max_validation(self):
         with pytest.raises(ValueError):
@@ -370,10 +386,12 @@ class TestFullHamiltonian:
     @pytest.mark.parametrize("params", [params_for(), GENERIC, CavityParams(g=1, delta=3, omega_rabi=11)])
     def test_real_symmetric_and_equal_to_kron_chain(self, params, n_max):
         fock = FockSpace(n_max)
-        h = full_hamiltonian(params, fock)
-        assert h.dtype == np.float64
-        assert np.array_equal(h, h.T)
-        assert np.max(np.abs(h - kron_chain_hamiltonian(params, fock))) < 1e-12
+        block, singlet = full_hamiltonian(params, fock)
+        assert block.dtype == np.float64
+        assert np.array_equal(block, block.T)
+        expected_block, expected_singlet = rotated_split(kron_chain_hamiltonian(params, fock), fock.levels)
+        assert np.max(np.abs(block - expected_block)) < 1e-12
+        assert np.max(np.abs(singlet - expected_singlet)) < 1e-12
 
 
 class TestValidateEffectiveModel:
@@ -447,21 +465,20 @@ class TestValidateEffectiveModel:
 class TestExchangeSplit:
     """The singlet (|eg> - |ge>)/sqrt(2) is dark, so the full model splits by atom exchange."""
 
-    @staticmethod
-    def exchange_rotated(h, levels):
-        """The generator in the pair basis (ee, T0, S, gg), by elementwise row and column sums."""
-        s = np.sqrt(0.5)
-        h4 = h.reshape(4, levels, 4, levels)
-        rows = np.stack([h4[0], (h4[1] + h4[2]) * s, (h4[1] - h4[2]) * s, h4[3]])
-        both = np.stack([rows[:, :, 0], (rows[:, :, 1] + rows[:, :, 2]) * s,
-                         (rows[:, :, 1] - rows[:, :, 2]) * s, rows[:, :, 3]], axis=2)
-        return both.reshape(4 * levels, 4 * levels)
+    @pytest.mark.parametrize("n_max", [4, 8])
+    @pytest.mark.parametrize("params", [params_for(), GENERIC, CavityParams(g=1, delta=3, omega_rabi=11)])
+    def test_oracle_fill_equals_kron_chain(self, params, n_max):
+        fock = FockSpace(n_max)
+        h = dense_hamiltonian(params, fock)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+        assert np.max(np.abs(h - kron_chain_hamiltonian(params, fock))) < 1e-12
 
     @pytest.mark.parametrize("params", [params_for(), GENERIC])
     @pytest.mark.parametrize("n_max", [1, 8])
     def test_singlet_couples_to_nothing(self, params, n_max):
         levels = n_max + 1
-        rotated = self.exchange_rotated(full_hamiltonian(params, FockSpace(n_max)), levels)
+        rotated = exchange_rotated(dense_hamiltonian(params, FockSpace(n_max)), levels)
         singlet = np.arange(2 * levels, 3 * levels)
         energies = rotated[singlet, singlet].copy()
         rotated[singlet, singlet] = 0.0
@@ -490,24 +507,20 @@ class TestExchangeSplit:
 
 
 class TestPhotonMajorBlock:
-    """The triplet block is gathered photon-major and propagated in real arithmetic."""
+    """The triplet block is built photon-major and propagated in real arithmetic."""
 
-    @pytest.mark.parametrize("params", [params_for(), GENERIC])
-    @pytest.mark.parametrize("n_max", [1, 8])
+    @pytest.mark.parametrize("params", [params_for(), GENERIC, params_for(80.0, 20.0)])
+    @pytest.mark.parametrize("n_max", [1, 8, 96])
     def test_block_equals_reordered_elementwise_rotation(self, params, n_max):
-        levels = n_max + 1
-        h = full_hamiltonian(params, FockSpace(n_max))
-        rotated = TestExchangeSplit.exchange_rotated(h, levels).reshape(4, levels, 4, levels)
-        triplet = rotated[[0, 1, 3]][:, :, [0, 1, 3]]  # [slot, n, slot, m]
-        expected = triplet.transpose(1, 0, 3, 2).reshape(3 * levels, 3 * levels)
-        fock_in = np.arange(levels)
-        block, singlet = _exchange_split(h.copy(), fock_in)
-        assert np.array_equal(block, expected)
-        assert np.array_equal(singlet, rotated[2, fock_in, 2, fock_in])
+        fock = FockSpace(n_max)
+        expected_block, expected_singlet = rotated_split(dense_hamiltonian(params, fock), fock.levels)
+        block, singlet = full_hamiltonian(params, fock)
+        assert np.array_equal(block, expected_block)
+        assert np.array_equal(singlet, expected_singlet)
 
     def test_block_is_banded(self):
         """Drive and exchange coupling reach one photon number at most: bandwidth 3 + 1."""
-        block, _ = _exchange_split(full_hamiltonian(params_for(), FockSpace(8)), np.array([0]))
+        block, _ = full_hamiltonian(params_for(), FockSpace(8))
         rows, cols = np.nonzero(block)
         assert np.max(np.abs(rows - cols)) == 4
 

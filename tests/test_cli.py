@@ -24,6 +24,8 @@ def data_lines(out: str) -> list[dict]:
 # One entry more than a grid may hold, as command-line text and as a config-file list.
 TOO_MANY = [0] * (MAX_GRID_POINTS + 1)
 TOO_MANY_TEXT = ",".join(map(str, TOO_MANY))
+# A 100,000-character value for a flag that takes one of a few words.
+LONG_TEXT = "x" * 100_000
 
 
 def shown(value) -> str:
@@ -279,6 +281,12 @@ class TestFlagErrors:
                      "must be 'start:stop:count' with an integer count in [0, 100000], "
                      "or a comma-separated list of at most 100000 numbers",
                      id="timing-sweep-epsilon_grid-100001-entries"),
+        ("adversary", "target_qubit", "4", 4, "must be one of [2, 3]"),
+        pytest.param("session", "format", LONG_TEXT, LONG_TEXT, "must be one of ['json', 'csv']",
+                     id="session-format-100000-characters"),
+        pytest.param("adversary", "model", LONG_TEXT, LONG_TEXT,
+                     "must be one of ['ancilla', 'bob-flips', 'bob-guess', 'bob-lies', ",
+                     id="adversary-model-100000-characters"),
     ])
     @pytest.mark.parametrize("use_file", [False, True])
     def test_bad_value_names_flag_and_reason(self, command, key, text, raw, reason, use_file,
