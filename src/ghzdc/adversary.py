@@ -366,8 +366,13 @@ class CheatReport:
     model: AdversaryModel
     analytic_success: float
     empirical_success: float
-    std_error: float
     rounds: int
+
+    @property
+    def std_error(self) -> float:
+        """Binomial standard error of the estimate, taken at the analytic value."""
+        p = self.analytic_success
+        return math.sqrt(p * (1.0 - p) / self.rounds)
 
     def to_json_dict(self) -> dict:
         return {
@@ -399,12 +404,4 @@ def monte_carlo_confirm(model: AdversaryModel, rounds: int, seed: int) -> CheatR
     analytic = float(analytic_success(model))
     strategy = STRATEGIES[model.kind]
     hits = sum(strategy.sample(model, round_rng(seed, idx)) for idx in range(rounds))
-    empirical = hits / rounds
-    std_error = math.sqrt(analytic * (1.0 - analytic) / rounds)
-    return CheatReport(
-        model=model,
-        analytic_success=analytic,
-        empirical_success=empirical,
-        std_error=std_error,
-        rounds=rounds,
-    )
+    return CheatReport(model, analytic, hits / rounds, rounds)

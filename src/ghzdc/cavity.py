@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, fields
 
@@ -114,6 +115,10 @@ class FockSpace:
     n_max: int = 8
 
     def __post_init__(self):
+        try:
+            operator.index(self.n_max)
+        except TypeError:
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}") from None
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         if self.n_max > MAX_FOCK:

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .adversary import INTERCEPT_BASES, STRATEGIES, AdversaryModel, monte_carlo_confirm
 from .cavity import CANONICAL_PULSE, CavityParams, FockSpace, PulseParams, validate_effective_model
-from .protocol import Role, SessionConfig, decode_table, run_rounds, timing_error_fidelity
+from .protocol import SessionConfig, decode_table, run_rounds, timing_error_fidelity
 
 SCHEMA_VERSION = 1
 
@@ -207,15 +207,14 @@ def _run_session(cfg: dict) -> tuple[list[dict], list[str]]:
         rng_seed=cfg["seed"],
         p_check=cfg["p_check"],
         n_users=cfg["n_users"],
-        receiver=Role(cfg["receiver"]),
+        receiver=cfg["receiver"],
     )
-    records = run_rounds(session, cfg["rounds"], cfg["message"])
-    rows = [r.to_json_dict() for r in records]
-    encode_rows = [r for r in records if r.branch == "encode"]
-    correct = sum(r.decoded_bits == r.message_bits for r in encode_rows)
-    violations = sum(r.check.violation for r in records if r.branch == "check")
+    rows = [r.to_json_dict() for r in run_rounds(session, cfg["rounds"], cfg["message"])]
+    encode_rows = [r for r in rows if r["branch"] == "encode"]
+    correct = sum(r["decoded_bits"] == r["message_bits"] for r in encode_rows)
+    violations = sum(r["check"]["violation"] for r in rows if r["branch"] == "check")
     notes = [
-        f"rounds={len(records)} encode={len(encode_rows)} "
+        f"rounds={len(rows)} encode={len(encode_rows)} "
         f"decode_accuracy={correct / len(encode_rows) if encode_rows else float('nan'):.6f} "
         f"check_violations={violations}"
     ]

@@ -209,14 +209,27 @@ def parity_accept_set(n_parties: int = 3) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """Outcome of one security-check round."""
+    """Outcome of one security-check round: the bases and results; the verdict is read from them."""
 
     bases: tuple[str, ...]
     results: tuple[int, ...]
-    in_accept_set: bool
-    expected_parity: int | None
-    observed_parity: int
-    violation: bool
+
+    @property
+    def expected_parity(self) -> int | None:
+        """Outcome parity of the honest state in these bases; None outside the accept set."""
+        return parity_accept_set(len(self.bases)).get("".join(self.bases))
+
+    @property
+    def in_accept_set(self) -> bool:
+        return self.expected_parity is not None
+
+    @property
+    def observed_parity(self) -> int:
+        return sum(self.results) % 2
+
+    @property
+    def violation(self) -> bool:
+        return self.in_accept_set and self.observed_parity != self.expected_parity
 
     def to_json_dict(self) -> dict:
         return {
@@ -257,20 +270,8 @@ def security_check_round(state: QuantumState, bases, rands) -> CheckRecord:
     for b in bases:
         if b not in CHECK_BASES:
             raise ValueError(f"check bases must be 'X' or 'Y', got {b!r}")
-    results = tuple(
-        _measure_chain(state, range(1, n_parties + 1), map(CHECK_BASES.get, bases), rands)
-    )
-    observed = sum(results) % 2
-    expected = parity_accept_set(n_parties).get("".join(bases))
-    in_accept = expected is not None
-    return CheckRecord(
-        bases=bases,
-        results=results,
-        in_accept_set=in_accept,
-        expected_parity=expected,
-        observed_parity=observed,
-        violation=in_accept and observed != expected,
-    )
+    results = _measure_chain(state, range(1, n_parties + 1), map(CHECK_BASES.get, bases), rands)
+    return CheckRecord(bases, tuple(results))
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +291,14 @@ class SessionConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_check <= 1.0:
             raise ValueError("p_check must lie in [0, 1]")
+        try:
+            operator.index(self.n_users)
+        except TypeError:
+            raise ValueError(f"n_users must be an integer, got {self.n_users!r}") from None
         if not 2 <= self.n_users <= MAX_USERS:
             raise ValueError(f"n_users must be 2..{MAX_USERS}")
+        # Text such as "charlie" becomes its Role; a value outside Role raises ValueError.
+        object.__setattr__(self, "receiver", Role(self.receiver))
         if self.receiver == Role.ALICE:
             raise ValueError("Alice cannot receive her own atom")
         if self.receiver == Role.CHARLIE and self.n_users != 2:
@@ -304,23 +311,35 @@ class SessionConfig:
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """Transcript of one protocol round.
+    """Transcript of one protocol round: what was drawn and what was measured.
 
     ``bob_outcomes`` is the receiver's two-atom computational result
     (Alice's atom first); ``partner_signs`` lists the +/- results of the
-    remaining users ordered by qubit index.  Decoded fields are present
-    exactly on message rounds, ``check`` exactly on check rounds.
+    remaining users ordered by qubit index.  Message fields are set exactly
+    on message rounds, ``check`` exactly on check rounds; the rest is derived.
     """
 
     round_index: int
-    branch: str  # "check" | "encode"
     message_bits: int | None = None
-    encoding: str | None = None
     bob_outcomes: str | None = None
     partner_signs: tuple[str, ...] | None = None
-    decoded: str | None = None
-    decoded_bits: int | None = None
     check: CheckRecord | None = None
+
+    @property
+    def branch(self) -> str:
+        return "check" if self.check else "encode"
+
+    @property
+    def encoding(self) -> str | None:
+        return None if self.check else EncodingOp(self.message_bits).name
+
+    @property
+    def decoded(self) -> str | None:
+        return None if self.check else decode(self.bob_outcomes, self.partner_signs).name
+
+    @property
+    def decoded_bits(self) -> int | None:
+        return None if self.check else decode(self.bob_outcomes, self.partner_signs).value
 
     def to_json_dict(self) -> dict:
         return {
@@ -500,23 +519,12 @@ def run_session(
     rng = round_rng(config.rng_seed, round_index)
     if rng.random() < config.p_check:
         record = random_check_round(prepare_ghz(config.n_users), rng, config.n_users + 1)
-        return SessionRecord(round_index=round_index, branch="check", check=record)
+        return SessionRecord(round_index, check=record)
     if message_bits is None:
         raise ValueError("message bits are required on an encoding round")
-    op = EncodingOp(message_bits)
-    state = _honest_post_state(config.n_users, op, config.receiver_qubit)
+    state = _honest_post_state(config.n_users, EncodingOp(message_bits), config.receiver_qubit)
     pair, signs = measure_decode(state, rng, config.receiver_qubit)
-    decoded = decode(pair, signs)
-    return SessionRecord(
-        round_index=round_index,
-        branch="encode",
-        message_bits=message_bits,
-        encoding=op.name,
-        bob_outcomes=pair,
-        partner_signs=signs,
-        decoded=decoded.name,
-        decoded_bits=decoded.value,
-    )
+    return SessionRecord(round_index, message_bits, pair, signs)
 
 
 def run_rounds(

@@ -7,6 +7,7 @@ fifty-fifty |eee>/|ggg> forwarding ensemble, whose X/Y outcomes are
 uniform, half of all rounds landing in the four-element accept set.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from ghzdc.adversary import (
     STRATEGIES,
     AdversaryModel,
     AncillaTradeoff,
+    CheatReport,
     ancilla_attack_tradeoff,
     attach_ancilla,
     analytic_success,
@@ -231,6 +233,13 @@ class TestMonteCarlo:
         assert d["model"] == "bob_lies"
         assert d["rounds"] == 200
         assert 0.0 <= d["empirical_success"] <= 1.0
+
+    def test_std_error_is_derived(self):
+        assert [f.name for f in dataclasses.fields(CheatReport)] == [
+            "model", "analytic_success", "empirical_success", "rounds"]
+        report = CheatReport(AdversaryModel("bob_lies"), 0.75, 0.7, 400)
+        assert report.std_error == math.sqrt(0.75 * 0.25 / 400)
+        assert report.to_json_dict()["std_error"] == report.std_error
 
     def test_analytic_success_covers_all_models(self):
         for model in (

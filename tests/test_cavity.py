@@ -377,6 +377,11 @@ class TestFullHamiltonian:
         with pytest.raises(ValueError):
             FockSpace(0)
 
+    def test_n_max_must_be_an_integer(self):
+        assert FockSpace(np.int64(8)).levels == 9
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            FockSpace(2.5)
+
     def test_n_max_cap(self):
         assert FockSpace(MAX_FOCK).dimension == 4 * (MAX_FOCK + 1)  # constructing allocates nothing
         with pytest.raises(ValueError, match=f"n_max must be <= {MAX_FOCK}"):

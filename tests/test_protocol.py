@@ -6,6 +6,7 @@ are independent of the package's own gate plumbing.  Basis order: qubit 1
 is the most significant bit, e before g (|eee>=0, ..., |ggg>=7).
 """
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -30,6 +31,7 @@ from ghzdc.protocol import (
     Role,
     RoundStream,
     SessionConfig,
+    SessionRecord,
     bob_interaction,
     decode,
     decode_table,
@@ -374,6 +376,16 @@ class TestRunSession:
         with pytest.raises(ValueError):
             SessionConfig(receiver=Role.ALICE)
 
+    def test_receiver_is_a_role(self):
+        assert SessionConfig(receiver="charlie").receiver is Role.CHARLIE
+        with pytest.raises(ValueError, match="not a valid Role"):
+            SessionConfig(receiver="dave", n_users=5)
+
+    def test_n_users_is_an_integer(self):
+        assert SessionConfig(n_users=np.int64(3)).n_users == 3
+        with pytest.raises(ValueError, match="n_users must be an integer"):
+            SessionConfig(n_users=2.0)
+
     def test_key_frequencies_match_born_rule(self):
         """Monte Carlo frequency of each valid key is 1/2 within 5 standard errors."""
         rounds = 2000
@@ -558,3 +570,47 @@ class TestSessionRecordJson:
             "observed_parity",
             "violation",
         }
+
+
+class TestDerivedRecords:
+    """Records store only draws and results; the verdict and the decode are read from them."""
+
+    def test_stored_fields(self):
+        assert [f.name for f in dataclasses.fields(CheckRecord)] == ["bases", "results"]
+        assert [f.name for f in dataclasses.fields(SessionRecord)] == [
+            "round_index", "message_bits", "bob_outcomes", "partner_signs", "check"]
+
+    @pytest.mark.parametrize("n_parties", [3, 4])
+    def test_check_verdict_by_hand(self, n_parties):
+        accept = parity_accept_set(n_parties)
+        for bases in product("XY", repeat=n_parties):
+            expected = accept.get("".join(bases))
+            for results in product((0, 1), repeat=n_parties):
+                record = CheckRecord(bases, results)
+                observed = sum(results) % 2
+                assert record.expected_parity == expected
+                assert record.in_accept_set is (expected is not None)
+                assert record.observed_parity == observed
+                assert record.violation is (expected is not None and observed != expected)
+
+    @pytest.mark.parametrize("n_users", [2, 3])
+    def test_message_record_decodes_its_results(self, n_users):
+        for bits, pair, signs in product(range(4), PAIRS, product(SIGNS, repeat=n_users - 1)):
+            record = SessionRecord(5, bits, pair, signs)
+            op = decode(pair, signs)
+            assert (record.branch, record.encoding) == ("encode", EncodingOp(bits).name)
+            assert (record.decoded, record.decoded_bits) == (op.name, op.value)
+
+    def test_check_round_has_no_decode(self):
+        record = SessionRecord(3, check=CheckRecord(("X", "X", "Y"), (0, 1, 1)))
+        assert record.branch == "check"
+        for name in ("message_bits", "encoding", "bob_outcomes", "partner_signs", "decoded",
+                     "decoded_bits"):
+            assert getattr(record, name) is None
+
+    def test_derived_fields_are_read_only(self):
+        record = SessionRecord(0, 1, "ge", ("+",))
+        with pytest.raises(AttributeError):
+            record.decoded_bits = 3
+        with pytest.raises(AttributeError):
+            CheckRecord(("X", "X", "Y"), (0, 0, 0)).violation = True

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ghzdc.cli
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -78,3 +80,13 @@ def test_unreached_on_one_decode_table_run(tmp_path):
     assert "cavity.validate_effective_model" in missing
     assert "protocol.decode" not in missing
     assert "cli.main" not in missing
+
+
+@pytest.mark.parametrize("tool, args", [("unreached.py", []), ("golden_transcripts.py", ["out"])])
+def test_tool_without_ghzdc_prints_usage(tmp_path, tool, args):
+    """-S -I leave site-packages and PYTHONPATH off sys.path, so ghzdc cannot be imported."""
+    run = subprocess.run([sys.executable, "-S", "-I", str(TOOLS / tool), *args], cwd=tmp_path,
+                         capture_output=True, text=True, check=False)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert "PYTHONPATH=src" in run.stderr

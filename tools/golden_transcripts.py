@@ -16,7 +16,9 @@ these runs, so the caller's environment cannot reach the transcripts.
 ``--compare`` gives each file of two sets one of three results: byte-identical;
 numerically equal within the tolerance of each changed column
 (``TOLERANCES``); or different, naming the first differing row of each
-column that differs.  It exits 0 only when nothing is different.
+column that differs.  It exits 0 only when nothing is different.  A wrong
+argument list, or ``OUTDIR`` when ``ghzdc`` is not importable, exits 2 with the
+usage lines.
 """
 
 from __future__ import annotations
@@ -197,11 +199,21 @@ def compare(old_dir: Path, new_dir: Path) -> tuple[list[str], bool]:
     return lines, differs
 
 
+def _usage(problem: str) -> int:
+    """Print ``problem`` and the usage lines to stderr; the exit code of a usage error."""
+    print(problem, *__doc__.strip().splitlines()[3:5], sep="\n", file=sys.stderr)
+    return 2
+
+
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
         report, differs = compare(Path(sys.argv[2]), Path(sys.argv[3]))
         print("\n".join(report))
         sys.exit(1 if differs else 0)
     if len(sys.argv) != 2:
-        sys.exit("\n".join(__doc__.strip().splitlines()[3:5]))
+        sys.exit(_usage("expected OUTDIR, or --compare OLD NEW"))
+    try:
+        import ghzdc.cli  # noqa: F401  - write_transcripts imports it again
+    except ImportError as exc:
+        sys.exit(_usage(f"cannot import ghzdc: {exc}"))
     sys.exit(write_transcripts(Path(sys.argv[1])))

@@ -9,7 +9,8 @@ them entered.
 ``ghzdc`` is imported inside the profile, so a function called only while a
 module loads counts as reached.  Functions are matched by qualified name, not
 by line: a decorated function's code object starts at its decorator line.
-Lambdas are not listed.  Exits 0 whatever it finds.
+Lambdas are not listed.  Exits 0 whatever it finds, or 2 with the usage line
+when ``ghzdc`` is not importable (``PYTHONPATH`` does not name ``src``).
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ def _golden_run() -> None:
 
 if __name__ == "__main__":
     # find_spec locates the package without importing it.
-    package = Path(importlib.util.find_spec("ghzdc").origin).parent
+    spec = importlib.util.find_spec("ghzdc")
+    if spec is None:
+        print("cannot import ghzdc", __doc__.strip().splitlines()[2], sep="\n", file=sys.stderr)
+        sys.exit(2)
+    package = Path(spec.origin).parent
     for name in unreached(_golden_run, package):
         print(name)
