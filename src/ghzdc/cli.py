@@ -282,7 +282,12 @@ RUNNERS = {
 
 
 def render_data(echo: dict, rows: list[dict], fmt: str) -> str:
-    """Deterministic data section: config echo first, then one row per line."""
+    """Deterministic data section.
+
+    JSON lines: the config echo first, then one row per line.  CSV has no echo
+    line: a header plus one row per line, list and dict cells as JSON text; no
+    rows give an empty string.
+    """
     if fmt == "json":
         lines = [json.dumps({"config": echo}, sort_keys=True)]
         lines += [json.dumps(row, sort_keys=True) for row in rows]
