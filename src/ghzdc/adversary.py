@@ -32,9 +32,11 @@ from .protocol import (
     DECODE_TABLE,
     PAIRS,
     SIGNS,
+    CheckRecord,
     DecodeKey,
     EncodingOp,
     RoundStream,
+    _check_count,
     _honest_post_state,
     bob_interaction,
     measure_decode,
@@ -110,24 +112,22 @@ def decode_distribution(op: EncodingOp) -> dict[DecodeKey, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-# Outcome parity of the three measured parties, indexed by their results.
-_PARITY = np.indices((2, 2, 2)).sum(axis=0) % 2
-
-
 def check_violation_rate(state: QuantumState) -> float:
-    """Per-check-round probability of landing in the accept set with bad parity.
+    """Per-check-round probability that a three-party check round flags a violation.
 
-    The three parties choose bases independently and uniformly; qubits
-    beyond the third (an ancilla) are traced out by the enumeration.
+    The three parties choose bases independently and uniformly; each
+    outcome's verdict is ``CheckRecord(bases, results).violation``, the rule
+    of the sampled check round, so only accept-set combinations can flag.
+    Qubits beyond the third (an ancilla) are traced out by the enumeration.
     """
-    accept = parity_accept_set(3)
     combo_weight = 1.0 / 2**3
     total = 0.0
-    for combo, expected in accept.items():
-        probs = outcome_distribution(state, [CHECK_BASES[label] for label in combo])
+    for combo in parity_accept_set(3):
+        probs = outcome_distribution(state, [CHECK_BASES[label] for label in combo]).ravel()
+        flagged = np.array([CheckRecord(tuple(combo), r).violation for r in np.ndindex(2, 2, 2)])
         # Outcomes below 1e-12 are float residue of zero amplitudes, so states
         # that pass every check exactly report a rate of exactly zero.
-        total += combo_weight * float(probs[(_PARITY != expected) & (probs > 1e-12)].sum())
+        total += combo_weight * float(probs[flagged & (probs > 1e-12)].sum())
     return total
 
 
@@ -210,31 +210,32 @@ def _best_grid_information(rhos: np.ndarray, normals: np.ndarray) -> float:
 @dataclass(frozen=True)
 class AncillaTradeoff:
     theta: float
-    error_rate: float
     information_bits: float
+
+    @property
+    def error_rate(self) -> float:
+        """Security-check violation rate on the attacked state: the model's ``analytic_success``."""
+        return analytic_success(AdversaryModel("ancilla_attack", theta=self.theta))
 
 
 def ancilla_attack_tradeoff(theta: float) -> AncillaTradeoff:
     """Detection-vs-leakage point of the controlled-rotation attack family.
 
-    ``error_rate`` is the security-check violation rate on the attacked
-    state.  ``information_bits`` is the mutual information between the best
-    projective ancilla measurement (maximized over a 31 x 61 polar-azimuth
-    grid) and the decode key of a message round; the encoding is held
+    ``error_rate`` is derived from ``analytic_success``.  ``information_bits``
+    is the mutual information between the decode key of a message round and
+    the best projective ancilla measurement on a 31 x 61 polar-azimuth grid,
+    a lower bound on the best over all directions.  The encoding is held
     fixed, which by symmetry gives the same value for every message and
     captures what the eavesdropper learns about the parties' measurement
     records.
     """
     _check_param("theta", theta)
-    attacked = attach_ancilla(prepare_ghz(), theta)
-    error = check_violation_rate(attacked)
-
-    evolved = bob_interaction(attacked)
+    evolved = bob_interaction(attach_ancilla(prepare_ghz(), theta))
     rotated = basis_amplitudes(evolved, (None, None, PLUS_MINUS))  # (q1, q2, sign, anc)
     # Sub-normalized ancilla density matrix per decode key, keys in (q1, q2, sign) order.
     rhos = (rotated[..., :, None] * rotated[..., None, :].conj()).reshape(8, 2, 2)
     best = _best_grid_information(rhos, _grid_normals(31, 61))
-    return AncillaTradeoff(theta=theta, error_rate=error, information_bits=best)
+    return AncillaTradeoff(theta=theta, information_bits=best)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +400,8 @@ def analytic_success(model: AdversaryModel) -> Fraction | float:
 
 def monte_carlo_confirm(model: AdversaryModel, rounds: int, seed: int) -> CheatReport:
     """Seeded empirical estimate of the model's success/detection frequency."""
-    if rounds < 100:
-        raise ValueError("rounds must be >= 100 for a meaningful estimate")
+    _check_count("rounds", rounds, 100, None)  # fewer give no meaningful estimate
+    _check_count("seed", seed, 0, None)
     analytic = float(analytic_success(model))
     strategy = STRATEGIES[model.kind]
     hits = sum(strategy.sample(model, round_rng(seed, idx)) for idx in range(rounds))

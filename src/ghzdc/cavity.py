@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, fields
@@ -41,7 +42,7 @@ _TRIPLET_SLOTS = np.array([0, 1, 3])  # ee, T0, gg in the exchange pair basis
 def _require_finite(params) -> None:
     for field in fields(params):
         value = getattr(params, field.name)
-        if not math.isfinite(value):
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
             raise ValueError(f"{field.name} must be finite, got {value!r}")
 
 
@@ -70,6 +71,9 @@ class CavityParams:
     @classmethod
     def from_ratios(cls, delta_over_g: float, omega_over_delta: float) -> "CavityParams":
         """Parameters at unit coupling g from the two dimensionless regime ratios."""
+        for name, ratio in (("delta_over_g", delta_over_g), ("omega_over_delta", omega_over_delta)):
+            if not isinstance(ratio, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {ratio!r}")
         delta = float(delta_over_g)
         return cls(g=1.0, delta=delta, omega_rabi=omega_over_delta * delta)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain, product, repeat
@@ -46,6 +47,17 @@ from .qstate import (
 MAX_USERS = 11
 
 
+def _check_count(name: str, value, low: int, high: int | None) -> None:
+    """The one rule for counts and seeds: an integer in low..high (no upper end when None)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"{low}..{high}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 class Role(str, enum.Enum):
     ALICE = "alice"
     BOB = "bob"
@@ -59,10 +71,6 @@ class EncodingOp(enum.Enum):
     SIGMA_X = 0b01
     I_SIGMA_Y = 0b10
     SIGMA_Z = 0b11
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return _ENCODING_MATRICES[self]
 
 
 _ENCODING_MATRICES = {
@@ -79,8 +87,7 @@ def prepare_ghz(n_users: int = 2) -> QuantumState:
 
     Built once per ``n_users``; every call returns the same immutable state.
     """
-    if not 2 <= n_users <= MAX_USERS:
-        raise ValueError(f"n_users must be 2..{MAX_USERS}, got {n_users}")
+    _check_count("n_users", n_users, 2, MAX_USERS)
     amps = np.zeros(2 ** (n_users + 1), dtype=complex)
     amps[0] = SQRT_HALF
     amps[-1] = 1j * SQRT_HALF
@@ -91,7 +98,7 @@ def encode(state: QuantumState, op: EncodingOp) -> QuantumState:
     """Apply Alice's operation to qubit 1 of a resource register of 3 or more qubits."""
     if state.num_qubits < 3:
         raise ValueError(f"encode expects at least 3 qubits, got {state.num_qubits}")
-    return apply_gate(state, op.matrix, 1)
+    return apply_gate(state, _ENCODING_MATRICES[op], 1)
 
 
 def bob_interaction(
@@ -110,7 +117,7 @@ def timing_error_fidelity(epsilon: float) -> float:
     time); only the coupling angle scales.  Returns the minimum squared
     overlap with the ideal output over the four encoded inputs.
     """
-    if not abs(epsilon) < 1.0:  # also rejects nan
+    if not (isinstance(epsilon, numbers.Real) and abs(epsilon) < 1.0):  # also rejects nan
         raise ValueError(f"epsilon must be finite with |epsilon| < 1, got {epsilon!r}")
     perturbed = PulseParams(lambda_t=(1.0 + epsilon) * np.pi / 4, omega_t=np.pi)
     encoded = (encode(prepare_ghz(), op) for op in EncodingOp)
@@ -170,8 +177,7 @@ def decode(pair: str, signs) -> EncodingOp:
 
 def decode_table(n_users: int = 2) -> list[tuple[str, tuple[str, ...], EncodingOp]]:
     """Full (pair, signs) -> operation mapping, 4 * 2^(n_users - 1) rows."""
-    if not 2 <= n_users <= MAX_USERS:
-        raise ValueError(f"n_users must be 2..{MAX_USERS}, got {n_users}")
+    _check_count("n_users", n_users, 2, MAX_USERS)
     rows = []
     for pair in PAIRS:
         for signs in product(SIGNS, repeat=n_users - 1):
@@ -197,8 +203,7 @@ def parity_accept_set(n_parties: int = 3) -> dict[str, int]:
     Keys follow ``product("XY", repeat=n_parties)`` order; the tests check
     the map against Born-rule enumeration.
     """
-    if not 3 <= n_parties <= MAX_USERS + 1:
-        raise ValueError(f"n_parties must be 3..{MAX_USERS + 1}")
+    _check_count("n_parties", n_parties, 3, MAX_USERS + 1)
     accept: dict[str, int] = {}
     for combo in product("XY", repeat=n_parties):
         k = combo.count("Y")
@@ -289,14 +294,10 @@ class SessionConfig:
     receiver: Role = Role.BOB
 
     def __post_init__(self):
-        if not 0.0 <= self.p_check <= 1.0:
-            raise ValueError("p_check must lie in [0, 1]")
-        try:
-            operator.index(self.n_users)
-        except TypeError:
-            raise ValueError(f"n_users must be an integer, got {self.n_users!r}") from None
-        if not 2 <= self.n_users <= MAX_USERS:
-            raise ValueError(f"n_users must be 2..{MAX_USERS}")
+        _check_count("rng_seed", self.rng_seed, 0, None)
+        if not (isinstance(self.p_check, numbers.Real) and 0.0 <= self.p_check <= 1.0):
+            raise ValueError(f"p_check must lie in [0, 1], got {self.p_check!r}")
+        _check_count("n_users", self.n_users, 2, MAX_USERS)
         # Text such as "charlie" becomes its Role; a value outside Role raises ValueError.
         object.__setattr__(self, "receiver", Role(self.receiver))
         if self.receiver == Role.ALICE:
@@ -324,6 +325,11 @@ class SessionRecord:
     bob_outcomes: str | None = None
     partner_signs: tuple[str, ...] | None = None
     check: CheckRecord | None = None
+
+    def __post_init__(self):
+        if any((field is None) != (self.check is not None)
+               for field in (self.message_bits, self.bob_outcomes, self.partner_signs)):
+            raise ValueError("a round record holds either all three message fields or a check")
 
     @property
     def branch(self) -> str:
@@ -535,8 +541,7 @@ def run_rounds(
     Random messages come from their own derived stream, so transcripts stay
     reproducible for a given seed.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    _check_count("rounds", rounds, 1, None)
     records = []
     for idx in range(rounds):
         msg = message_bits

@@ -105,8 +105,6 @@ Y_BASIS = MeasurementBasis(
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    qubit: int
-    basis: str
     result: int
     probability: float
 
@@ -232,8 +230,7 @@ def measure(
         raise ValueError("measurement requires a normalized state")
     result = 0 if rand < p0 else 1
     prob = (p0, p1)[result]
-    outcome = MeasurementOutcome(qubit=qubit, basis=basis.name, result=result, probability=prob)
-    return outcome, _post_state(basis, branch, result, prob)
+    return MeasurementOutcome(result, prob), _post_state(basis, branch, result, prob)
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:

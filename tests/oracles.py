@@ -1,10 +1,12 @@
 """Test-only references: the paper's two atom-pair generators, the dense atoms (x)
 cavity generator, single-qubit Born probabilities, the Born-rule enumeration of a
-message round, basis states by label, state comparisons (entrywise and up to a
-global phase), and numpy's generator for the per-round streams."""
+message round, the ancilla attack's Holevo chi and fine-grid information, basis
+states by label, state comparisons (entrywise and up to a global phase), and
+numpy's generator for the per-round streams."""
 
 import numpy as np
 
+from ghzdc.adversary import attach_ancilla
 from ghzdc.cavity import CavityParams, FockSpace
 from ghzdc.protocol import SIGNS, DecodeKey, EncodingOp, bob_interaction, encode, prepare_ghz
 from ghzdc.qstate import (
@@ -86,6 +88,51 @@ def born_decode_distribution(op: EncodingOp) -> dict[DecodeKey, float]:
     state = bob_interaction(encode(prepare_ghz(), op))
     probs = outcome_distribution(state, (COMPUTATIONAL, COMPUTATIONAL, PLUS_MINUS))
     return {DecodeKey("eg"[b1] + "eg"[b2], SIGNS[s]): float(p) for (b1, b2, s), p in np.ndenumerate(probs)}
+
+
+def ancilla_ensemble(theta: float) -> np.ndarray:
+    """Sub-normalized ancilla ket per decode key of an attacked message round, shape (8, 2).
+
+    Read from the state vector of the attacked, interacted resource: the
+    receiver pair stays computational, the partner's share turns to the +/-
+    basis by a Hadamard, keys in (q1, q2, sign) order, ancilla (e, g) last.
+    """
+    amps = bob_interaction(attach_ancilla(prepare_ghz(), theta)).amplitudes.reshape(2, 2, 2, 2)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    return np.einsum("st,abtc->absc", hadamard, amps).reshape(8, 2)
+
+
+def holevo_chi(theta: float) -> float:
+    """Holevo chi (bits) of the ancilla ensemble: its states are pure, so chi is the
+    entropy of their mixture, the ancilla's reduced state."""
+    kets = ancilla_ensemble(theta)
+    eigenvalues = np.linalg.eigvalsh(kets.T @ kets.conj())
+    eigenvalues = eigenvalues[eigenvalues > 0.0]
+    return float(-(eigenvalues * np.log2(eigenvalues)).sum())
+
+
+def fine_grid_information(theta: float) -> float:
+    """Max over a 181 x 361 polar-azimuth grid of readout directions of the mutual
+    information (bits) between the decode key and the ancilla's two-outcome readout.
+
+    The readout's first ket along (polar p, azimuth a) is (cos(p/2), e^{ia} sin(p/2)).
+    """
+    kets = ancilla_ensemble(theta)
+    polar, azimuth = np.meshgrid(
+        np.linspace(0.0, np.pi, 181), np.linspace(0.0, 2.0 * np.pi, 361), indexing="ij")
+    bra = np.stack([np.cos(polar / 2), np.exp(-1j * azimuth) * np.sin(polar / 2)], axis=-1)
+    weights = (np.abs(kets) ** 2).sum(axis=1)
+    first = np.abs(bra.reshape(-1, 2) @ kets.T) ** 2  # (directions, keys)
+    joint = np.stack([first, np.clip(weights - first, 0.0, None)], axis=-1)
+    marginal = joint.sum(axis=1, keepdims=True)
+    # Empty cells add 0 log 1.
+    ratio = np.divide(joint, weights[None, :, None] * marginal, out=np.ones_like(joint), where=joint > 0.0)
+    return float((joint * np.log2(ratio)).sum(axis=(1, 2)).max())
+
+
+def binary_entropy(p: float) -> float:
+    """h2(p) in bits, 0 at p = 0 and p = 1."""
+    return float(sum(-q * np.log2(q) for q in (p, 1.0 - p) if q > 0.0))
 
 
 def _basis_index(label: str) -> int:

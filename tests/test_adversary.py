@@ -10,10 +10,12 @@ uniform, half of all rounds landing in the four-element accept set.
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from ghzdc import adversary
 from ghzdc.adversary import (
     STRATEGIES,
     AdversaryModel,
@@ -29,7 +31,9 @@ from ghzdc.adversary import (
 )
 from ghzdc.cli import MODEL_FLAGS
 from ghzdc.protocol import (
+    CHECK_BASES,
     PAIRS,
+    CheckRecord,
     DecodeKey,
     EncodingOp,
     decode,
@@ -37,8 +41,15 @@ from ghzdc.protocol import (
     parity_accept_set,
     prepare_ghz,
 )
-from ghzdc.qstate import QuantumState
-from oracles import allclose, basis_state, born_decode_distribution
+from ghzdc.qstate import QuantumState, outcome_distribution
+from oracles import (
+    allclose,
+    basis_state,
+    binary_entropy,
+    born_decode_distribution,
+    fine_grid_information,
+    holevo_chi,
+)
 
 
 class TestModels:
@@ -152,6 +163,24 @@ class TestInterceptResend:
     def test_product_state_rate(self):
         assert check_violation_rate(basis_state("eee")) == pytest.approx(0.25)
 
+    def test_verdicts_come_from_check_record(self, monkeypatch):
+        """The enumeration asks the sampled check round's rule about every accept-set outcome."""
+        asked = []
+
+        class Recording(CheckRecord):
+            @property
+            def violation(self):
+                asked.append((self.bases, self.results))
+                return super().violation
+
+        monkeypatch.setattr(adversary, "CheckRecord", Recording)
+        assert check_violation_rate(basis_state("eee")) == pytest.approx(0.25)
+        assert sorted(asked) == sorted(
+            (tuple(combo), results)
+            for combo in parity_accept_set(3)
+            for results in product((0, 1), repeat=3)
+        )
+
 
 class TestAncillaAttack:
     def test_identity_attack_leaks_nothing(self):
@@ -196,11 +225,74 @@ class TestAncillaAttack:
         assert isinstance(point, AncillaTradeoff)
         assert point.theta == 0.2
 
+    def test_error_rate_is_the_analytic_value(self):
+        """The tradeoff stores theta and the grid information; the rate has one route."""
+        assert [f.name for f in dataclasses.fields(AncillaTradeoff)] == ["theta", "information_bits"]
+        for theta in (0.0, 0.3, 0.7854, math.pi / 2):
+            point = ancilla_attack_tradeoff(theta)
+            exact = analytic_success(AdversaryModel("ancilla_attack", theta=theta))
+            assert point.error_rate == exact  # bit for bit
+            with pytest.raises(AttributeError):
+                point.error_rate = 0.0
+
+
+# The family's angles, endpoints included.
+THETAS_41 = [float(t) for t in np.linspace(0.0, math.pi / 2, 41)]
+THETAS_17 = [float(t) for t in np.linspace(0.0, math.pi / 2, 17)]
+
+
+def h2_of(theta: float) -> float:
+    """The ancilla's leak in closed form: h2(sin^2(theta/2)) bits."""
+    return binary_entropy(math.sin(theta / 2) ** 2)
+
+
+class TestAncillaClosedForms:
+    """The ancilla family against its closed forms (Holevo, Probl. Peredachi Inf. 9(3), 3, 1973)."""
+
+    def test_holevo_chi_is_h2(self):
+        for theta in THETAS_41:
+            assert abs(holevo_chi(theta) - h2_of(theta)) <= 1e-12
+
+    def test_fine_grid_respects_holevo_bound(self):
+        for theta in THETAS_41:
+            assert fine_grid_information(theta) <= h2_of(theta) + 1e-12
+
+    def test_information_bits_respects_holevo_bound(self):
+        """The reported 31 x 61 grid value is a lower bound: no excess is allowed, any shortfall is."""
+        for theta in THETAS_41:
+            assert ancilla_attack_tradeoff(theta).information_bits <= h2_of(theta) + 1e-12
+
+    def test_attacked_check_round_distribution(self):
+        """Result string b under k Y bases: (1 + cos(theta) Re[i (-i)^k (-1)^|b|]) / 8."""
+        for theta in THETAS_17:
+            attacked = attach_ancilla(prepare_ghz(), theta)
+            for combo in product("XY", repeat=3):
+                probs = outcome_distribution(attacked, [CHECK_BASES[label] for label in combo])
+                phase = 1j * (-1j) ** combo.count("Y")
+                for b in product((0, 1), repeat=3):
+                    expected = (1 + math.cos(theta) * (phase * (-1) ** sum(b)).real) / 8
+                    assert abs(probs[b] - expected) <= 1e-14
+
+    def test_detection_rate_closed_form(self):
+        for theta in THETAS_17:
+            rate = analytic_success(AdversaryModel("ancilla_attack", theta=theta))
+            assert abs(rate - (1 - math.cos(theta)) / 4) <= 1e-15
+
 
 class TestMonteCarlo:
     def test_round_floor(self):
         with pytest.raises(ValueError):
             monte_carlo_confirm(AdversaryModel("honest"), 99, seed=0)
+
+    @pytest.mark.parametrize("rounds,seed,name", [(100.5, 0, "rounds"), (100, 1.5, "seed")],
+                             ids=["rounds-float", "seed-float"])
+    def test_entry_refuses_before_the_exact_value(self, monkeypatch, rounds, seed, name):
+        def no_exact_value(model):
+            raise AssertionError("the exact value was computed before the inputs were checked")
+
+        monkeypatch.setattr(adversary, "analytic_success", no_exact_value)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            monte_carlo_confirm(AdversaryModel("honest"), rounds, seed)
 
     def test_honest_never_deceived(self):
         report = monte_carlo_confirm(AdversaryModel("honest"), 500, seed=3)

@@ -6,6 +6,7 @@ driven model is probed for structure, truncation warnings, and the
 regime-limit behavior of the validation error.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -194,6 +195,13 @@ class TestCavityParams:
     def test_non_finite_pulse_rejected(self, lambda_t, omega_t, field):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             PulseParams(lambda_t, omega_t)
+
+    @pytest.mark.parametrize("ratios,name", [(("40", 20), "delta_over_g"),
+                                             ((40, "20"), "omega_over_delta")])
+    def test_ratio_text_rejected(self, ratios, name):
+        """float() would parse the text; a ratio must already be a number."""
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            CavityParams.from_ratios(*ratios)
 
 
 class TestEffectiveUnitary:
@@ -590,6 +598,16 @@ class TestTimingErrorFidelity:
     def test_non_finite_epsilon_rejected(self, eps):
         with pytest.raises(ValueError, match="epsilon must be finite"):
             timing_error_fidelity(eps)
+
+    def test_closed_form(self):
+        """The worst-case overlap is cos^2(pi eps / 4) across the accepted range."""
+        for eps in np.linspace(-0.7, 0.9, 24):
+            expected = math.cos(math.pi * eps / 4) ** 2
+            assert abs(timing_error_fidelity(float(eps)) - expected) <= 2e-15
+
+    def test_epsilon_text_rejected(self):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            timing_error_fidelity("0.1")
 
 
 class TestSidebandLaw:

@@ -614,3 +614,49 @@ class TestDerivedRecords:
             record.decoded_bits = 3
         with pytest.raises(AttributeError):
             CheckRecord(("X", "X", "Y"), (0, 0, 0)).violation = True
+
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"message_bits": 1},
+        {"message_bits": 1, "bob_outcomes": "ge"},
+        {"message_bits": 1, "bob_outcomes": "ge", "partner_signs": ("+",),
+         "check": CheckRecord(("X", "X", "Y"), (0, 0, 0))},
+        {"partner_signs": ("+",), "check": CheckRecord(("X", "X", "Y"), (0, 0, 0))},
+    ], ids=["neither", "bits-only", "no-signs", "both", "check-with-signs"])
+    def test_record_is_one_kind(self, fields):
+        """A round is a message round or a check round: never neither, never a mixed row."""
+        with pytest.raises(ValueError, match="either all three message fields or a check"):
+            SessionRecord(0, **fields)
+
+
+class TestLibraryEdges:
+    """A library entry refuses a wrong-typed or out-of-range value with a ValueError
+    that names the parameter, before any work, instead of failing later."""
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda: SessionConfig(rng_seed=1.5), "rng_seed"),
+        (lambda: SessionConfig(rng_seed=-1), "rng_seed"),
+        (lambda: SessionConfig(p_check="0.5"), "p_check"),
+        (lambda: run_rounds(SessionConfig(), 2.5), "rounds"),
+        (lambda: prepare_ghz(2.0), "n_users"),
+        (lambda: decode_table(2.0), "n_users"),
+        (lambda: parity_accept_set(3.0), "n_parties"),
+    ], ids=["seed-float", "seed-negative", "p_check-text", "rounds-float", "prepare_ghz-float",
+            "decode_table-float", "accept_set-float"])
+    def test_entry_refuses(self, call, name):
+        prepare_ghz(2), parity_accept_set(3)  # the equal integer keys are cached
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            call()
+
+    def test_counts_keep_their_ranges(self):
+        for call, message in (
+            (lambda: prepare_ghz(12), "n_users must be 2..11, got 12"),
+            (lambda: decode_table(1), "n_users must be 2..11, got 1"),
+            (lambda: parity_accept_set(13), "n_parties must be 3..12, got 13"),
+            (lambda: SessionConfig(n_users=12), "n_users must be 2..11, got 12"),
+            (lambda: run_rounds(SessionConfig(), 0), "rounds must be >= 1, got 0"),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+        assert SessionConfig(rng_seed=np.int64(7), n_users=np.int64(3)).rng_seed == 7

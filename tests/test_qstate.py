@@ -5,6 +5,7 @@ the operation matrices under the package conventions (qubit 1 most
 significant, |e> -> bit 0).
 """
 
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -21,6 +22,7 @@ from ghzdc.qstate import (
     SIGMA_Z,
     Y_BASIS,
     MeasurementBasis,
+    MeasurementOutcome,
     QuantumState,
     apply_gate,
     apply_two_qubit,
@@ -173,6 +175,10 @@ class TestApplyTwoQubit:
 
 
 class TestMeasurement:
+    def test_outcome_stores_what_measure_computed(self):
+        """The qubit and basis are the caller's own arguments; the outcome holds the rest."""
+        assert [f.name for f in dataclasses.fields(MeasurementOutcome)] == ["result", "probability"]
+
     def test_eigenstate_is_deterministic(self):
         plus = QuantumState(np.array([SQ2, SQ2]))
         outcome, post = measure(plus, 1, PLUS_MINUS, 0.999999)
@@ -375,7 +381,6 @@ class TestKernelOracle:
             for rand in ((np.nextafter(p0, 0.0),) if result == 0 else (p0, np.nextafter(p0, 1.0))):
                 outcome, post = measure(state, qubit, basis, float(rand))
                 assert outcome.result == result
-                assert outcome.qubit == qubit and outcome.basis == basis.name
                 assert abs(outcome.probability - prob) <= 1e-12
                 assert np.max(np.abs(post.amplitudes - expected)) <= 1e-12
 

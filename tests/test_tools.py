@@ -1,7 +1,9 @@
-"""tools/golden_transcripts.py --compare on hand-written transcript sets, and
-tools/unreached.py on one CLI invocation."""
+"""tools/golden_transcripts.py --compare on hand-written transcript sets, the
+byte contract against the committed transcript set, and tools/unreached.py on
+one CLI invocation."""
 
 import importlib.util
+import json
 import math
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import pytest
 import ghzdc.cli
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _load(name: str):
@@ -70,6 +73,27 @@ class TestCompare:
             run = subprocess.run(argv, capture_output=True, text=True, check=False)
             assert run.returncode == code
         assert "decode-table-n2.jsonl pair: different: row 1: 'ee' -> 'gg'" in run.stdout
+
+
+def test_transcripts_match_committed_set(tmp_path):
+    """Every CLI data byte is pinned: the 40 transcripts regenerate to the committed
+    files, or within a ``TOLERANCES`` column, and to the committed digests.
+
+    A change that moves bytes on purpose regenerates ``tests/golden`` with
+    ``golden_transcripts.pin`` in the same diff (README, "Golden transcripts").
+    """
+    new = tmp_path / "new"
+    assert golden.write_transcripts(new) == 0
+    digests = json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))
+    committed = {path.name for path in (GOLDEN / "files").iterdir()}
+    names = set(golden.invocations(tmp_path / "session.json"))
+    assert len(names) == 40
+    assert {path.name for path in new.iterdir()} == names == committed | set(digests)
+    for name, pinned in digests.items():
+        assert golden.digest(new / name) == pinned, name
+        (new / name).unlink()
+    report, differs = golden.compare(GOLDEN / "files", new)
+    assert not differs, "\n".join(line for line in report if "byte-identical" not in line)
 
 
 def test_unreached_on_one_decode_table_run(tmp_path):

@@ -19,16 +19,23 @@ numerically equal within the tolerance of each changed column
 column that differs.  It exits 0 only when nothing is different.  A wrong
 argument list, or ``OUTDIR`` when ``ghzdc`` is not importable, exits 2 with the
 usage lines.
+
+``pin(OUTDIR, GOLDEN)`` turns a written set into the committed one that the
+tier-1 suite checks (``tests/golden``): each file up to ``COMMIT_LIMIT`` bytes
+is copied into ``GOLDEN/files``, and each larger one is recorded in
+``GOLDEN/digests.json`` by its SHA-256 digest and length.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -119,6 +126,31 @@ def write_transcripts(outdir: Path) -> int:
                 print(f"{name}: exit code {code}", file=sys.stderr)
                 failed += 1
     return 1 if failed else 0
+
+
+# Largest transcript committed byte for byte; the session transcripts and the
+# 11-user decode table above it are pinned by digest.
+COMMIT_LIMIT = 60 * 1024
+
+
+def digest(path: Path) -> dict:
+    """SHA-256 digest and length of a file."""
+    data = path.read_bytes()
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+def pin(outdir: Path, golden: Path) -> None:
+    """Replace the committed set under ``golden`` with the transcripts in ``outdir``."""
+    files = golden / "files"
+    shutil.rmtree(files, ignore_errors=True)
+    files.mkdir(parents=True)
+    digests = {}
+    for path in sorted(outdir.iterdir()):
+        if path.stat().st_size <= COMMIT_LIMIT:
+            shutil.copyfile(path, files / path.name)
+        else:
+            digests[path.name] = digest(path)
+    (golden / "digests.json").write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
 
 
 # Relative tolerance of a numeric column: (command, column) -> tolerance.  The
