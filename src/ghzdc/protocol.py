@@ -327,8 +327,8 @@ class SessionRecord:
     check: CheckRecord | None = None
 
     def __post_init__(self):
-        if any((field is None) != (self.check is not None)
-               for field in (self.message_bits, self.bob_outcomes, self.partner_signs)):
+        if any((value is None) != (self.check is not None)
+               for value in (self.message_bits, self.bob_outcomes, self.partner_signs)):
             raise ValueError("a round record holds either all three message fields or a check")
 
     @property
