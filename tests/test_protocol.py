@@ -644,7 +644,9 @@ class TestLibraryEdges:
     ], ids=["seed-float", "seed-negative", "p_check-text", "rounds-float", "prepare_ghz-float",
             "decode_table-float", "accept_set-float"])
     def test_entry_refuses(self, call, name):
-        prepare_ghz(2), parity_accept_set(3)  # the equal integer keys are cached
+        # The equal integer keys are cached; a float key must still be refused.
+        prepare_ghz(2)
+        parity_accept_set(3)
         with pytest.raises(ValueError, match=f"^{name} must "):
             call()
 
