@@ -13,8 +13,8 @@ Eavesdropping is modeled two ways: intercept-resend on an atom in transit
 during distribution, and a one-parameter family that entangles a fresh
 ancilla with the second share through a controlled rotation of angle theta.
 Both are scored by the security-check violation rate; the ancilla family
-additionally reports how much the best projective ancilla measurement
-reveals about the legitimate decode key.
+additionally reports how much the best ancilla measurement reveals about
+the legitimate decode key.
 """
 
 from __future__ import annotations
@@ -170,41 +170,10 @@ def attach_ancilla(state: QuantumState, theta: float) -> QuantumState:
     return apply_two_qubit(attacked, _controlled_rotation(theta), (2, attacked.num_qubits))
 
 
-def _grid_normals(polar_n: int, azimuth_n: int) -> np.ndarray:
-    polar = np.linspace(0.0, math.pi, polar_n)
-    azimuth = np.linspace(0.0, 2.0 * math.pi, azimuth_n)
-    pol, azi = np.meshgrid(polar, azimuth, indexing="ij")
-    return np.stack(
-        [np.sin(pol) * np.cos(azi), np.sin(pol) * np.sin(azi), np.cos(pol)], axis=-1
-    ).reshape(-1, 3)
-
-
-def _best_grid_information(rhos: np.ndarray, normals: np.ndarray) -> float:
-    """Max mutual information (bits) between key and a projective ancilla readout.
-
-    For a measurement direction n the outcome probabilities given key k are
-    (w_k +/- n . r_k)/2 with w_k the key probability and r_k the ancilla
-    Bloch vector, so the whole grid reduces to dot products.
-    """
-    weights = np.real(np.trace(rhos, axis1=1, axis2=2))
-    blochs = np.stack(
-        [
-            2.0 * np.real(rhos[:, 1, 0]),
-            2.0 * np.imag(rhos[:, 1, 0]),
-            np.real(rhos[:, 0, 0] - rhos[:, 1, 1]),
-        ],
-        axis=-1,
-    )
-    dots = normals @ blochs.T  # (grid, keys)
-    joint = np.stack([(weights + dots) / 2.0, (weights - dots) / 2.0], axis=-1)
-    joint = np.clip(joint, 0.0, None)
-    pk = weights[None, :, None]
-    pe = joint.sum(axis=1, keepdims=True)
-    mask = joint > 1e-15
-    safe_p = np.where(mask, joint, 1.0)
-    safe_q = np.where(mask, pk * pe, 1.0)
-    info = np.sum(np.where(mask, joint * np.log2(safe_p / safe_q), 0.0), axis=(1, 2))
-    return float(info.max())
+def _entropy_bits(eigenvalues: np.ndarray) -> float:
+    """-sum p log2 p over the positive entries; zeros and round-off negatives add 0."""
+    p = eigenvalues[eigenvalues > 0.0]
+    return float(-(p * np.log2(p)).sum())
 
 
 @dataclass(frozen=True)
@@ -222,20 +191,25 @@ def ancilla_attack_tradeoff(theta: float) -> AncillaTradeoff:
     """Detection-vs-leakage point of the controlled-rotation attack family.
 
     ``error_rate`` is derived from ``analytic_success``.  ``information_bits``
-    is the mutual information between the decode key of a message round and
-    the best projective ancilla measurement on a 31 x 61 polar-azimuth grid,
-    a lower bound on the best over all directions.  The encoding is held
-    fixed, which by symmetry gives the same value for every message and
-    captures what the eavesdropper learns about the parties' measurement
-    records.
+    is the Holevo quantity of the ancilla states rho_k left by each decode key k
+    of a message round (sub-normalized, weight w_k = Tr rho_k):
+    S(sum_k rho_k) - sum_k w_k S(rho_k / w_k), where the second term is
+    H(eigenvalues of every rho_k) - H(w).  It bounds what any ancilla
+    measurement learns about the key (Holevo 1973), and a projective readout
+    in the eigenbasis of sum_k rho_k reaches it, so it is the accessible
+    information, h2(sin^2(theta/2)).  The encoding is held fixed, which by
+    symmetry gives the same value for every message and captures what the
+    eavesdropper learns about the parties' measurement records.
     """
     _check_param("theta", theta)
     evolved = bob_interaction(attach_ancilla(prepare_ghz(), theta))
     rotated = basis_amplitudes(evolved, (None, None, PLUS_MINUS))  # (q1, q2, sign, anc)
     # Sub-normalized ancilla density matrix per decode key, keys in (q1, q2, sign) order.
     rhos = (rotated[..., :, None] * rotated[..., None, :].conj()).reshape(8, 2, 2)
-    best = _best_grid_information(rhos, _grid_normals(31, 61))
-    return AncillaTradeoff(theta=theta, information_bits=best)
+    weights = np.real(np.trace(rhos, axis1=1, axis2=2))
+    chi = (_entropy_bits(np.linalg.eigvalsh(rhos.sum(axis=0))) + _entropy_bits(weights)
+           - _entropy_bits(np.linalg.eigvalsh(rhos)))
+    return AncillaTradeoff(theta=theta, information_bits=chi)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +317,7 @@ STRATEGIES: dict[str, MessageStrategy | CheckAttack] = {
         params=("target_qubit", "basis"),
     ),
     "ancilla_attack": CheckAttack(
-        # The analytic value needs no information grid; ``report`` computes it once.
+        # The analytic value needs no information_bits; ``report`` computes it once.
         attacked_state=lambda model, rng: attach_ancilla(prepare_ghz(), model.theta),
         exact=lambda model: check_violation_rate(attach_ancilla(prepare_ghz(), model.theta)),
         flag="ancilla",

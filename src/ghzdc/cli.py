@@ -29,7 +29,7 @@ from .adversary import INTERCEPT_BASES, STRATEGIES, AdversaryModel, monte_carlo_
 from .cavity import CANONICAL_PULSE, CavityParams, FockSpace, PulseParams, validate_effective_model
 from .protocol import SessionConfig, decode_table, run_rounds, timing_error_fidelity
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Upper bounds on the counts a run accepts, checked while parsing.  They cap counts, not
 # run time: a timing-sweep point costs ~0.3 ms (~34 s at the bound), a physics-sweep

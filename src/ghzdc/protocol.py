@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from itertools import chain, product, repeat
 import numpy as np
 
 from . import qstate
-from .cavity import CANONICAL_PULSE, PulseParams, effective_unitary
+from .cavity import CANONICAL_PULSE, effective_unitary
 from .qstate import (
     COMPUTATIONAL,
     PLUS_MINUS,
@@ -40,15 +41,17 @@ from .qstate import (
     QuantumState,
     apply_gate,
     apply_two_qubit,
-    fidelity,
     measure,
 )
 
 MAX_USERS = 11
 
 
-def _check_count(name: str, value, low: int, high: int | None) -> None:
-    """The one rule for counts and seeds: an integer in low..high (no upper end when None)."""
+def _check_count(name: str, value, low: int, high: int | None) -> int:
+    """The one rule for counts and seeds: an integer in low..high (no upper end when None).
+
+    Returns the value as a plain ``int``, so a numpy integer keys the caches as its ``int`` does.
+    """
     try:
         value = operator.index(value)
     except TypeError:
@@ -56,6 +59,7 @@ def _check_count(name: str, value, low: int, high: int | None) -> None:
     if value < low or high is not None and value > high:
         bound = f">= {low}" if high is None else f"{low}..{high}"
         raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 class Role(str, enum.Enum):
@@ -101,27 +105,26 @@ def encode(state: QuantumState, op: EncodingOp) -> QuantumState:
     return apply_gate(state, _ENCODING_MATRICES[op], 1)
 
 
-def bob_interaction(
-    state: QuantumState, pulse: PulseParams = CANONICAL_PULSE, qubits: tuple[int, int] = (1, 2)
-) -> QuantumState:
-    """Send the receiver's two atoms through the driven cavity."""
+def bob_interaction(state: QuantumState, qubits: tuple[int, int] = (1, 2)) -> QuantumState:
+    """Send the receiver's two atoms through the driven cavity (the canonical pulse)."""
     if state.num_qubits < 3:
         raise ValueError("interaction expects the receiver pair plus at least one more share")
-    return apply_two_qubit(state, effective_unitary(pulse), qubits)
+    return apply_two_qubit(state, effective_unitary(CANONICAL_PULSE), qubits)
 
 
 def timing_error_fidelity(epsilon: float) -> float:
     """Worst-case decoding fidelity when the coupling angle is off by a factor 1+epsilon.
 
     The drive angle stays at pi (it is set by the field, not the transit
-    time); only the coupling angle scales.  Returns the minimum squared
-    overlap with the ideal output over the four encoded inputs.
+    time); only the coupling angle scales, from pi/4 to (1+epsilon) pi/4.  The
+    perturbed map is the ideal one times e^{-i d} exp(-i d X1 X2), d = pi epsilon / 4
+    (``effective_unitary``), so an input's squared overlap is cos^2 d + sin^2 d <X1 X2>^2.
+    The encoded shares span |x y y>, which X1 X2 maps to |x' y' y>, orthogonal to
+    them, so <X1 X2> = 0 and each of the four inputs gives cos^2(pi epsilon / 4).
     """
     if not (isinstance(epsilon, numbers.Real) and abs(epsilon) < 1.0):  # also rejects nan
         raise ValueError(f"epsilon must be finite with |epsilon| < 1, got {epsilon!r}")
-    perturbed = PulseParams(lambda_t=(1.0 + epsilon) * np.pi / 4, omega_t=np.pi)
-    encoded = (encode(prepare_ghz(), op) for op in EncodingOp)
-    return min(fidelity(bob_interaction(s), bob_interaction(s, perturbed)) for s in encoded)
+    return math.cos(math.pi * epsilon / 4) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +297,10 @@ class SessionConfig:
     receiver: Role = Role.BOB
 
     def __post_init__(self):
-        _check_count("rng_seed", self.rng_seed, 0, None)
+        object.__setattr__(self, "rng_seed", _check_count("rng_seed", self.rng_seed, 0, None))
         if not (isinstance(self.p_check, numbers.Real) and 0.0 <= self.p_check <= 1.0):
             raise ValueError(f"p_check must lie in [0, 1], got {self.p_check!r}")
-        _check_count("n_users", self.n_users, 2, MAX_USERS)
+        object.__setattr__(self, "n_users", _check_count("n_users", self.n_users, 2, MAX_USERS))
         # Text such as "charlie" becomes its Role; a value outside Role raises ValueError.
         object.__setattr__(self, "receiver", Role(self.receiver))
         if self.receiver == Role.ALICE:

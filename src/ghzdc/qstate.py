@@ -63,9 +63,6 @@ class QuantumState:
         obj._amps = amps
         return obj
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._amps))
-
 
 @dataclass(frozen=True)
 class MeasurementBasis:
@@ -231,14 +228,3 @@ def measure(
     result = 0 if rand < p0 else 1
     prob = (p0, p1)[result]
     return MeasurementOutcome(result, prob), _post_state(basis, branch, result, prob)
-
-
-def fidelity(a: QuantumState, b: QuantumState) -> float:
-    """Squared overlap |<a|b>|^2 of two normalized states."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("fidelity requires equal qubit counts")
-    for s in (a, b):
-        if abs(s.norm() - 1.0) > TOL_UNITARY:
-            raise ValueError("fidelity requires normalized states")
-    val = float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-    return min(val, 1.0)

@@ -1,13 +1,16 @@
 """Test-only references: the paper's two atom-pair generators, the dense atoms (x)
 cavity generator, single-qubit Born probabilities, the Born-rule enumeration of a
-message round, the ancilla attack's Holevo chi and fine-grid information, basis
-states by label, state comparisons (entrywise and up to a global phase), and
-numpy's generator for the per-round streams."""
+message round, the ancilla attack's Holevo chi, fine-grid information and
+eigenbasis readout, the timing error by simulation, basis states by label, state
+comparisons (norm, fidelity, entrywise and up to a global phase), and numpy's generator
+for the per-round streams."""
+
+import math
 
 import numpy as np
 
 from ghzdc.adversary import attach_ancilla
-from ghzdc.cavity import CavityParams, FockSpace
+from ghzdc.cavity import CavityParams, FockSpace, PulseParams, effective_unitary
 from ghzdc.protocol import SIGNS, DecodeKey, EncodingOp, bob_interaction, encode, prepare_ghz
 from ghzdc.qstate import (
     COMPUTATIONAL,
@@ -15,8 +18,10 @@ from ghzdc.qstate import (
     PLUS_MINUS,
     SIGMA_X,
     TOL_EQ,
+    TOL_UNITARY,
     QuantumState,
     _check_qubit,
+    apply_two_qubit,
     outcome_distribution,
 )
 
@@ -130,9 +135,54 @@ def fine_grid_information(theta: float) -> float:
     return float((joint * np.log2(ratio)).sum(axis=(1, 2)).max())
 
 
+def eigenbasis_readout_information(theta: float) -> float:
+    """Mutual information (bits) between the decode key and a projective ancilla readout
+    in the eigenbasis of the key-averaged ancilla state.
+
+    At theta = pi/2 that state is I/2, so every basis is an eigenbasis; there the
+    readout takes the heaviest key's own state and its orthogonal ket, the Bloch axis
+    that every key's state lies on.
+    """
+    kets = ancilla_ensemble(theta)
+    weights = (np.abs(kets) ** 2).sum(axis=1)
+    eigenvalues, readout = np.linalg.eigh(kets.T @ kets.conj())  # readout kets as columns
+    if eigenvalues[1] - eigenvalues[0] < 1e-12:
+        first = kets[np.argmax(weights)] / math.sqrt(weights.max())
+        readout = np.array([first, [-first[1].conjugate(), first[0].conjugate()]]).T
+    joint = np.abs(kets @ readout.conj()) ** 2  # (keys, results)
+    marginal = joint.sum(axis=0, keepdims=True)
+    # Empty cells add 0 log 1.
+    ratio = np.divide(joint, weights[:, None] * marginal, out=np.ones_like(joint), where=joint > 0.0)
+    return float((joint * np.log2(ratio)).sum())
+
+
 def binary_entropy(p: float) -> float:
     """h2(p) in bits, 0 at p = 0 and p = 1."""
     return float(sum(-q * np.log2(q) for q in (p, 1.0 - p) if q > 0.0))
+
+
+def timing_error_simulation(epsilon: float) -> float:
+    """Worst squared overlap, over the four encoded inputs, of the canonical pulse's output
+    with the output of a pulse whose coupling angle is (1 + epsilon) pi/4 (drive angle pi)."""
+    perturbed = effective_unitary(PulseParams(lambda_t=(1.0 + epsilon) * np.pi / 4, omega_t=np.pi))
+    encoded = (encode(prepare_ghz(), op) for op in EncodingOp)
+    return min(fidelity(bob_interaction(s), apply_two_qubit(s, perturbed, (1, 2))) for s in encoded)
+
+
+def norm(state: QuantumState) -> float:
+    """Euclidean norm of the amplitude vector."""
+    return float(np.linalg.norm(state.amplitudes))
+
+
+def fidelity(a: QuantumState, b: QuantumState) -> float:
+    """Squared overlap |<a|b>|^2 of two normalized states."""
+    if a.num_qubits != b.num_qubits:
+        raise ValueError("fidelity requires equal qubit counts")
+    for s in (a, b):
+        if abs(norm(s) - 1.0) > TOL_UNITARY:
+            raise ValueError("fidelity requires normalized states")
+    val = float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return min(val, 1.0)
 
 
 def _basis_index(label: str) -> int:

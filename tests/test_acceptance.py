@@ -122,7 +122,7 @@ def test_criterion_3_canonical_pulse_outputs():
     """The canonical pulse carries each encoded state to its decodable product form."""
     ok = True
     for op, target in POST_INTERACTION_TARGETS.items():
-        out = bob_interaction(encode(prepare_ghz(), op), CANONICAL_PULSE)
+        out = bob_interaction(encode(prepare_ghz(), op))
         ok = ok and global_phase_equal(out, target, 1e-10)
     report("3", ok, "post-interaction states match the decode targets up to global phase")
     assert ok
@@ -299,7 +299,7 @@ def _coalition_guess_success(n_users: int, dropped_sign: int | None) -> float:
     n_signs = n_users - 1
     views: dict[tuple, dict[EncodingOp, float]] = {}
     for op in EncodingOp:
-        state = bob_interaction(encode(prepare_ghz(n_users), op), CANONICAL_PULSE)
+        state = bob_interaction(encode(prepare_ghz(n_users), op))
         tensor = state.amplitudes.reshape([2] * (n_users + 1))
         for bits in product((0, 1), repeat=n_users + 1):
             bras = [comp[bits[0]], comp[bits[1]]] + [signs_vec[b] for b in bits[2:]]

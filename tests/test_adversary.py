@@ -47,8 +47,10 @@ from oracles import (
     basis_state,
     binary_entropy,
     born_decode_distribution,
+    eigenbasis_readout_information,
     fine_grid_information,
     holevo_chi,
+    norm,
 )
 
 
@@ -218,7 +220,7 @@ class TestAncillaAttack:
     def test_attach_ancilla_shape(self):
         attacked = attach_ancilla(prepare_ghz(), 0.3)
         assert attacked.num_qubits == 4
-        assert attacked.norm() == pytest.approx(1.0, abs=1e-12)
+        assert norm(attacked) == pytest.approx(1.0, abs=1e-12)
 
     def test_returns_tradeoff_record(self):
         point = ancilla_attack_tradeoff(0.2)
@@ -226,7 +228,7 @@ class TestAncillaAttack:
         assert point.theta == 0.2
 
     def test_error_rate_is_the_analytic_value(self):
-        """The tradeoff stores theta and the grid information; the rate has one route."""
+        """The tradeoff stores theta and the information; the rate has one route."""
         assert [f.name for f in dataclasses.fields(AncillaTradeoff)] == ["theta", "information_bits"]
         for theta in (0.0, 0.3, 0.7854, math.pi / 2):
             point = ancilla_attack_tradeoff(theta)
@@ -258,9 +260,16 @@ class TestAncillaClosedForms:
             assert fine_grid_information(theta) <= h2_of(theta) + 1e-12
 
     def test_information_bits_respects_holevo_bound(self):
-        """The reported 31 x 61 grid value is a lower bound: no excess is allowed, any shortfall is."""
+        """The reported value is the Holevo quantity itself: h2(sin^2(theta/2)), neither above nor below."""
         for theta in THETAS_41:
-            assert ancilla_attack_tradeoff(theta).information_bits <= h2_of(theta) + 1e-12
+            assert abs(ancilla_attack_tradeoff(theta).information_bits - h2_of(theta)) <= 1e-12
+
+    def test_eigenbasis_readout_reaches_information_bits(self):
+        """One projective readout learns the reported value, so it is the accessible
+        information, not only an upper bound on it."""
+        for theta in THETAS_41[1:]:
+            readout = eigenbasis_readout_information(theta)
+            assert abs(readout - ancilla_attack_tradeoff(theta).information_bits) <= 1e-12
 
     def test_attacked_check_round_distribution(self):
         """Result string b under k Y bases: (1 + cos(theta) Re[i (-i)^k (-1)^|b|]) / 8."""

@@ -42,6 +42,7 @@ from oracles import (
     effective_hamiltonian,
     evolution_operator,
     regime_ok,
+    timing_error_simulation,
 )
 
 SQ2 = 1 / np.sqrt(2)
@@ -600,10 +601,12 @@ class TestTimingErrorFidelity:
             timing_error_fidelity(eps)
 
     def test_closed_form(self):
-        """The worst-case overlap is cos^2(pi eps / 4) across the accepted range."""
+        """The worst-case overlap is cos^2(pi eps / 4) across the accepted range, and the
+        four-encoding simulation gives the same value."""
         for eps in np.linspace(-0.7, 0.9, 24):
             expected = math.cos(math.pi * eps / 4) ** 2
             assert abs(timing_error_fidelity(float(eps)) - expected) <= 2e-15
+            assert abs(timing_error_fidelity(float(eps)) - timing_error_simulation(float(eps))) <= 2e-15
 
     def test_epsilon_text_rejected(self):
         with pytest.raises(ValueError, match="epsilon must be finite"):

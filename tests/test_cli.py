@@ -1,14 +1,17 @@
 """Command-line driver tests: exit codes, formats, config layering, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ghzdc.cavity import CANONICAL_PULSE, CavityParams, FockSpace, validate_effective_model
-from ghzdc.cli import MAX_GRID_POINTS, MAX_ROUNDS, build_parser, main
+from ghzdc.cavity import CANONICAL_PULSE, MAX_FOCK, CavityParams, FockSpace, validate_effective_model
+from ghzdc.cli import COMMANDS, COMMON, FLAGS, MAX_GRID_POINTS, MAX_ROUNDS, build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -481,7 +484,7 @@ class TestSurface:
         assert out == ""
         echo = json.loads(data.read_text().splitlines()[0])["config"]
         assert echo == {key: self.EVERY_KEY[key] for key in self.ECHO_KEYS[command]} | {
-            "command": command, "schema_version": 1,
+            "command": command, "schema_version": 2,
         }
 
     @pytest.mark.parametrize("command", sorted(ECHO_KEYS))
@@ -490,3 +493,67 @@ class TestSurface:
             main([command, "--help"])
         assert exc.value.code == 0
         assert "--config" in capsys.readouterr().out
+
+
+# Text that is out of type for some flags and on a rule's edge for others.
+ODD_TEXT = st.sampled_from(
+    ["", " ", "x", "True", "0", "-1", "1.5", "nan", "inf", "-inf", "1e400", "1,2", "0:1:2", str(2**70)])
+NUMBER_TEXT = st.one_of(st.floats(-0.5, 2.0), st.floats(allow_nan=True, allow_infinity=True)).map(repr)
+LIST_TEXT = st.lists(NUMBER_TEXT, max_size=5).map(",".join)
+# Count flags drawn no larger than a run of a second or so: --rounds up to 10^3 and --n-max up to 16
+# in range, and one value past each bound, which the parser or the library refuses before any work.
+CAPPED = {
+    "rounds": st.one_of(st.integers(-2, 1000), st.just(MAX_ROUNDS + 1)).map(str),
+    "n_max": st.one_of(st.integers(-2, 16), st.just(MAX_FOCK + 1)).map(str),
+    "delta_over_g": LIST_TEXT,
+    "epsilon_grid": st.one_of(LIST_TEXT, st.builds(
+        "{}:{}:{}".format, NUMBER_TEXT, NUMBER_TEXT,
+        st.one_of(st.integers(-1, 5), st.just(MAX_GRID_POINTS + 1)))),
+    # A drawn path would write files; stdout is the one output.
+    "out": st.just("-"),
+}
+
+
+def flag_text(key: str) -> st.SearchStrategy[str]:
+    """Text for one flag, from its FLAGS entry: its choices, or a value of its default's type,
+    or odd text."""
+    default, options = FLAGS[key]
+    if key in CAPPED:
+        typed = CAPPED[key]
+    elif "metavar" in options:
+        typed = st.sampled_from(options["metavar"].strip("{}").split(","))
+    elif isinstance(default, int):
+        typed = st.one_of(st.integers(-3, 20), st.just(2**70)).map(str)
+    else:
+        typed = NUMBER_TEXT
+    return st.one_of(typed, ODD_TEXT) if key != "out" else typed
+
+
+@st.composite
+def argv_cases(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for key in dict.fromkeys((*COMMON, *COMMANDS[command][1])):
+        if draw(st.booleans()):
+            argv.append(f"--{key.replace('_', '-')}={draw(flag_text(key))}")
+    return argv
+
+
+class TestArgvProperty:
+    """Any argv built from cli.FLAGS, with values in type, out of type, at the bounds and
+    non-finite, ends in exit 0 or 2 with no traceback.  Counts and grids are drawn small
+    (CAPPED) so the test runs in seconds; a run at MAX_ROUNDS is a long run by design."""
+
+    @settings(derandomize=True, max_examples=800, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=argv_cases())
+    def test_exits_zero_or_two(self, argv, monkeypatch):
+        monkeypatch.delenv("GHZDC_CONFIG", raising=False)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own exit on a rejected flag
+                code = exc.code
+        assert code in (0, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -56,6 +56,7 @@ from oracles import (
     basis_state,
     born_probabilities,
     global_phase_equal,
+    norm,
     numpy_pcg64,
     numpy_round_rng,
 )
@@ -116,7 +117,7 @@ class TestPrepareGhz:
         assert np.count_nonzero(s.amplitudes) == 2
 
     def test_normalized(self):
-        assert prepare_ghz().norm() == pytest.approx(1.0, abs=1e-12)
+        assert norm(prepare_ghz()) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_single_qubit_marginals(self):
         s = prepare_ghz()
@@ -131,7 +132,7 @@ class TestPrepareGhz:
         s = prepare_ghz(5)
         assert s.num_qubits == 6
         assert np.count_nonzero(s.amplitudes) == 2
-        assert s.norm() == pytest.approx(1.0, abs=1e-12)
+        assert norm(s) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 12])
     def test_n_user_range(self, n):
@@ -173,10 +174,11 @@ class TestBobInteraction:
         assert global_phase_equal(out, POST_INTERACTION[op], 1e-10)
 
     def test_zero_pulse_is_identity(self):
-        from ghzdc.cavity import PulseParams
+        from ghzdc.cavity import PulseParams, effective_unitary
+        from ghzdc.qstate import apply_two_qubit
 
         s = encode(prepare_ghz(), EncodingOp.SIGMA_X)
-        assert allclose(bob_interaction(s, PulseParams(0, 0)), s, tol=1e-12)
+        assert allclose(apply_two_qubit(s, effective_unitary(PulseParams(0, 0)), (1, 2)), s, tol=1e-12)
 
     def test_small_register_rejected(self):
         with pytest.raises(ValueError):
@@ -662,3 +664,9 @@ class TestLibraryEdges:
                 call()
             assert str(excinfo.value) == message
         assert SessionConfig(rng_seed=np.int64(7), n_users=np.int64(3)).rng_seed == 7
+
+    def test_numpy_counts_share_the_int_caches(self):
+        """A numpy count is stored as its int, so the session reuses the cached states."""
+        config = SessionConfig(rng_seed=np.int64(7), n_users=np.int64(3))
+        assert type(config.rng_seed) is int and type(config.n_users) is int
+        assert prepare_ghz(config.n_users) is prepare_ghz(3)
