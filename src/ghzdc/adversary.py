@@ -62,7 +62,8 @@ INTERCEPT_BASES = {"computational": COMPUTATIONAL, "x": PLUS_MINUS, "y": Y_BASIS
 # One range rule per model parameter: (accepts the value, message otherwise).
 PARAM_CHECKS = {
     "target_qubit": (lambda q: q in (2, 3), "intercept target must be qubit 2 or 3 (atoms in transit)"),
-    "basis": (lambda b: b in INTERCEPT_BASES, f"intercept basis must be one of {sorted(INTERCEPT_BASES)}"),
+    "intercept_basis": (lambda b: b in INTERCEPT_BASES,
+                        f"intercept basis must be one of {sorted(INTERCEPT_BASES)}"),
     "theta": (lambda t: t is not None and 0.0 <= t <= math.pi / 2, "theta must lie in [0, pi/2]"),
 }
 
@@ -79,7 +80,7 @@ class AdversaryModel:
 
     kind: str
     target_qubit: int | None = None
-    basis: str | None = None
+    intercept_basis: str | None = None
     theta: float | None = None
 
     def __post_init__(self):
@@ -131,7 +132,7 @@ def check_violation_rate(state: QuantumState) -> float:
     return total
 
 
-def intercept_resend_detection(target_qubit: int, basis: str) -> Fraction:
+def intercept_resend_detection(target_qubit: int, intercept_basis: str) -> Fraction:
     """Exact detection probability per check round for an intercept-resend attack.
 
     The attacked resource is the ensemble of post-measurement states the
@@ -139,11 +140,11 @@ def intercept_resend_detection(target_qubit: int, basis: str) -> Fraction:
     rational, recovered from the enumeration by snapping.
     """
     _check_param("target_qubit", target_qubit)
-    _check_param("basis", basis)
-    ghz = prepare_ghz()
+    _check_param("intercept_basis", intercept_basis)
+    ghz = prepare_ghz(2)
     total = Fraction(0)
     for result in (0, 1):
-        prob, resent = collapse(ghz, target_qubit, INTERCEPT_BASES[basis], result)
+        prob, resent = collapse(ghz, target_qubit, INTERCEPT_BASES[intercept_basis], result)
         total += _snap(prob) * _snap(check_violation_rate(resent))
     return total
 
@@ -157,11 +158,11 @@ def _controlled_rotation(theta: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def attach_ancilla(state: QuantumState, theta: float) -> QuantumState:
+def attach_ancilla(state: QuantumState, theta: float, /) -> QuantumState:
     """Append a fresh ancilla (as the last qubit) entangled with the second share (qubit 2).
 
     Cached by ``(state, theta)``, states keyed by identity: an ancilla Monte
-    Carlo round passes the one cached ``prepare_ghz()`` state, so every round
+    Carlo round passes the one cached ``prepare_ghz(2)`` state, so every round
     after the first reuses the attacked state.
     """
     amps = np.zeros(2 * state.amplitudes.size, dtype=complex)
@@ -176,23 +177,12 @@ def _entropy_bits(eigenvalues: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-@dataclass(frozen=True)
-class AncillaTradeoff:
-    theta: float
-    information_bits: float
+def ancilla_attack_tradeoff(theta: float) -> float:
+    """Leakage side of the controlled-rotation attack family, in bits.
 
-    @property
-    def error_rate(self) -> float:
-        """Security-check violation rate on the attacked state: the model's ``analytic_success``."""
-        return analytic_success(AdversaryModel("ancilla_attack", theta=self.theta))
-
-
-def ancilla_attack_tradeoff(theta: float) -> AncillaTradeoff:
-    """Detection-vs-leakage point of the controlled-rotation attack family.
-
-    ``error_rate`` is derived from ``analytic_success``.  ``information_bits``
-    is the Holevo quantity of the ancilla states rho_k left by each decode key k
-    of a message round (sub-normalized, weight w_k = Tr rho_k):
+    The detection side is ``analytic_success`` of the ancilla model.  The
+    leakage is the Holevo quantity of the ancilla states rho_k left by each
+    decode key k of a message round (sub-normalized, weight w_k = Tr rho_k):
     S(sum_k rho_k) - sum_k w_k S(rho_k / w_k), where the second term is
     H(eigenvalues of every rho_k) - H(w).  It bounds what any ancilla
     measurement learns about the key (Holevo 1973), and a projective readout
@@ -202,14 +192,13 @@ def ancilla_attack_tradeoff(theta: float) -> AncillaTradeoff:
     eavesdropper learns about the parties' measurement records.
     """
     _check_param("theta", theta)
-    evolved = bob_interaction(attach_ancilla(prepare_ghz(), theta))
+    evolved = bob_interaction(attach_ancilla(prepare_ghz(2), theta), (1, 2))
     rotated = basis_amplitudes(evolved, (None, None, PLUS_MINUS))  # (q1, q2, sign, anc)
     # Sub-normalized ancilla density matrix per decode key, keys in (q1, q2, sign) order.
     rhos = (rotated[..., :, None] * rotated[..., None, :].conj()).reshape(8, 2, 2)
     weights = np.real(np.trace(rhos, axis1=1, axis2=2))
-    chi = (_entropy_bits(np.linalg.eigvalsh(rhos.sum(axis=0))) + _entropy_bits(weights)
-           - _entropy_bits(np.linalg.eigvalsh(rhos)))
-    return AncillaTradeoff(theta=theta, information_bits=chi)
+    return (_entropy_bits(np.linalg.eigvalsh(rhos.sum(axis=0))) + _entropy_bits(weights)
+            - _entropy_bits(np.linalg.eigvalsh(rhos)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +242,7 @@ class MessageStrategy(Strategy):
     def sample(self, model: AdversaryModel, rng: RoundStream) -> bool:
         """One message round with a uniformly random message; True on a hit."""
         op = EncodingOp(rng.integers(4))
-        pair, signs = measure_decode(_honest_post_state(2, op, 2), rng)
+        pair, signs = measure_decode(_honest_post_state(2, op, 2), rng, 2)
         results = self.outcomes(op, DecodeKey(pair, signs[0]))
         return results[rng.integers(len(results))]
 
@@ -267,7 +256,7 @@ class CheckAttack(Strategy):
 
     def sample(self, model: AdversaryModel, rng: RoundStream) -> bool:
         """One check round on the attacked state; True when it flags a violation."""
-        return random_check_round(self.attacked_state(model, rng), rng).violation
+        return random_check_round(self.attacked_state(model, rng), rng, 3).violation
 
 
 def _report_cheat(flag: str, field: str, exclude_truth: bool) -> MessageStrategy:
@@ -310,21 +299,19 @@ STRATEGIES: dict[str, MessageStrategy | CheckAttack] = {
     "charlie_alone_guess": _solo_guess("charlie-guess", "sign"),
     "intercept_resend": CheckAttack(
         attacked_state=lambda model, rng: measure(
-            prepare_ghz(), model.target_qubit, INTERCEPT_BASES[model.basis], rng.random()
+            prepare_ghz(2), model.target_qubit, INTERCEPT_BASES[model.intercept_basis], rng.random()
         )[1],
-        exact=lambda model: intercept_resend_detection(model.target_qubit, model.basis),
+        exact=lambda model: intercept_resend_detection(model.target_qubit, model.intercept_basis),
         flag="intercept-resend",
-        params=("target_qubit", "basis"),
+        params=("target_qubit", "intercept_basis"),
     ),
     "ancilla_attack": CheckAttack(
         # The analytic value needs no information_bits; ``report`` computes it once.
-        attacked_state=lambda model, rng: attach_ancilla(prepare_ghz(), model.theta),
-        exact=lambda model: check_violation_rate(attach_ancilla(prepare_ghz(), model.theta)),
+        attacked_state=lambda model, rng: attach_ancilla(prepare_ghz(2), model.theta),
+        exact=lambda model: check_violation_rate(attach_ancilla(prepare_ghz(2), model.theta)),
         flag="ancilla",
         params=("theta",),
-        report=lambda model: {
-            "information_bits": ancilla_attack_tradeoff(model.theta).information_bits
-        },
+        report=lambda model: {"information_bits": ancilla_attack_tradeoff(model.theta)},
     ),
 }
 
@@ -353,7 +340,7 @@ class CheatReport:
         return {
             "model": self.model.kind,
             "target_qubit": self.model.target_qubit,
-            "basis": self.model.basis,
+            "basis": self.model.intercept_basis,
             "theta": self.model.theta,
             "analytic_success": self.analytic_success,
             "empirical_success": self.empirical_success,
@@ -378,5 +365,5 @@ def monte_carlo_confirm(model: AdversaryModel, rounds: int, seed: int) -> CheatR
     _check_count("seed", seed, 0, None)
     analytic = float(analytic_success(model))
     strategy = STRATEGIES[model.kind]
-    hits = sum(strategy.sample(model, round_rng(seed, idx)) for idx in range(rounds))
+    hits = sum(strategy.sample(model, round_rng(seed, idx, 0)) for idx in range(rounds))
     return CheatReport(model, analytic, hits / rounds, rounds)

@@ -148,7 +148,7 @@ def _drive_rotation(omega_t: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def effective_unitary(pulse: PulseParams) -> np.ndarray:
+def effective_unitary(pulse: PulseParams, /) -> np.ndarray:
     """Closed-form two-atom map for the given pulse, including its overall phase.
 
     The map is exp(-i H_drive t) exp(-i H_eff t) at lambda*t and Omega*t equal to
@@ -235,7 +235,7 @@ def validate_effective_model(
     params: CavityParams,
     fock: FockSpace,
     pulse: PulseParams,
-    initial_cavity=0,
+    initial_cavity,
 ) -> float:
     """Worst-case trace distance between full-model and closed-form atom outputs.
 

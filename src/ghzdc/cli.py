@@ -40,8 +40,6 @@ MAX_ROUNDS = 10**6
 
 # --model flag -> adversary kind.
 MODEL_FLAGS = {strategy.flag: kind for kind, strategy in STRATEGIES.items()}
-# Config key of each AdversaryModel field, where the two names differ.
-_MODEL_FIELD_KEYS = {"basis": "intercept_basis"}
 
 
 # Characters of a rejected value that an error message shows; longer values are cut.
@@ -224,7 +222,7 @@ def _run_session(cfg: dict) -> tuple[list[dict], list[str]]:
 def _run_adversary(cfg: dict) -> tuple[list[dict], list[str]]:
     kind = MODEL_FLAGS[cfg["model"]]
     strategy = STRATEGIES[kind]
-    model = AdversaryModel(kind, **{f: cfg[_MODEL_FIELD_KEYS.get(f, f)] for f in strategy.params})
+    model = AdversaryModel(kind, **{field: cfg[field] for field in strategy.params})
     report = monte_carlo_confirm(model, cfg["rounds"], cfg["seed"])
     row = report.to_json_dict() | strategy.report(model)
     notes = [

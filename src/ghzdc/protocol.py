@@ -86,7 +86,7 @@ _ENCODING_MATRICES = {
 
 
 @functools.lru_cache(maxsize=None)
-def prepare_ghz(n_users: int = 2) -> QuantumState:
+def prepare_ghz(n_users: int, /) -> QuantumState:
     """Resource state (|e...e> + i|g...g>)/sqrt(2) on n_users + 1 qubits.
 
     Built once per ``n_users``; every call returns the same immutable state.
@@ -105,7 +105,7 @@ def encode(state: QuantumState, op: EncodingOp) -> QuantumState:
     return apply_gate(state, _ENCODING_MATRICES[op], 1)
 
 
-def bob_interaction(state: QuantumState, qubits: tuple[int, int] = (1, 2)) -> QuantumState:
+def bob_interaction(state: QuantumState, qubits: tuple[int, int]) -> QuantumState:
     """Send the receiver's two atoms through the driven cavity (the canonical pulse)."""
     if state.num_qubits < 3:
         raise ValueError("interaction expects the receiver pair plus at least one more share")
@@ -178,7 +178,7 @@ def decode(pair: str, signs) -> EncodingOp:
     return DECODE_TABLE[DecodeKey(pair, SIGNS[signs.count("-") % 2])]
 
 
-def decode_table(n_users: int = 2) -> list[tuple[str, tuple[str, ...], EncodingOp]]:
+def decode_table(n_users: int) -> list[tuple[str, tuple[str, ...], EncodingOp]]:
     """Full (pair, signs) -> operation mapping, 4 * 2^(n_users - 1) rows."""
     _check_count("n_users", n_users, 2, MAX_USERS)
     rows = []
@@ -196,7 +196,7 @@ CHECK_BASES = {"X": PLUS_MINUS, "Y": Y_BASIS}
 
 
 @functools.lru_cache(maxsize=None)
-def parity_accept_set(n_parties: int = 3) -> dict[str, int]:
+def parity_accept_set(n_parties: int, /) -> dict[str, int]:
     """Basis combinations with deterministic outcome parity on the honest state.
 
     Measuring (|e...e> + i|g...g>)/sqrt(2) on n = n_parties qubits with k Y
@@ -228,26 +228,28 @@ class CheckRecord:
         return parity_accept_set(len(self.bases)).get("".join(self.bases))
 
     @property
-    def in_accept_set(self) -> bool:
-        return self.expected_parity is not None
-
-    @property
     def observed_parity(self) -> int:
         return sum(self.results) % 2
 
     @property
     def violation(self) -> bool:
-        return self.in_accept_set and self.observed_parity != self.expected_parity
+        return _violation(self.expected_parity, self.observed_parity)
 
     def to_json_dict(self) -> dict:
+        expected, observed = self.expected_parity, self.observed_parity  # one accept-set lookup
         return {
             "bases": "".join(self.bases),
             "results": list(self.results),
-            "in_accept_set": self.in_accept_set,
-            "expected_parity": self.expected_parity,
-            "observed_parity": self.observed_parity,
-            "violation": self.violation,
+            "in_accept_set": expected is not None,
+            "expected_parity": expected,
+            "observed_parity": observed,
+            "violation": _violation(expected, observed),
         }
+
+
+def _violation(expected_parity: int | None, observed_parity: int) -> bool:
+    """The verdict: only a combination in the accept set can be violated, by the other parity."""
+    return expected_parity is not None and observed_parity != expected_parity
 
 
 def _measure_chain(state: QuantumState, qubits, bases, rands):
@@ -343,14 +345,11 @@ class SessionRecord:
         return None if self.check else EncodingOp(self.message_bits).name
 
     @property
-    def decoded(self) -> str | None:
-        return None if self.check else decode(self.bob_outcomes, self.partner_signs).name
-
-    @property
     def decoded_bits(self) -> int | None:
         return None if self.check else decode(self.bob_outcomes, self.partner_signs).value
 
     def to_json_dict(self) -> dict:
+        bits = self.decoded_bits  # the row's one decode
         return {
             "round_index": self.round_index,
             "branch": self.branch,
@@ -358,8 +357,8 @@ class SessionRecord:
             "encoding": self.encoding,
             "bob_outcomes": self.bob_outcomes,
             "partner_signs": list(self.partner_signs) if self.partner_signs else None,
-            "decoded": self.decoded,
-            "decoded_bits": self.decoded_bits,
+            "decoded": None if bits is None else EncodingOp(bits).name,
+            "decoded_bits": bits,
             "check": self.check.to_json_dict() if self.check else None,
         }
 
@@ -394,7 +393,7 @@ _STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
 @functools.lru_cache(maxsize=8)
-def _mix_steps(n_words: int) -> tuple[tuple[int, int, int, int], ...]:
+def _mix_steps(n_words: int, /) -> tuple[tuple[int, int, int, int], ...]:
     """SeedSequence's pool mixing for ``n_words`` entropy words: (source, target, xor, multiplier).
 
     Each pool word (indices 0-3) is mixed into every other one, then each
@@ -458,7 +457,7 @@ class RoundStream:
                 return product >> 32
 
 
-def round_rng(seed: int, round_index: int, stream: int = 0) -> RoundStream:
+def round_rng(seed: int, round_index: int, stream: int) -> RoundStream:
     """Independent per-round stream: (master seed, round counter, stream id).
 
     Stream 0 drives the round itself; stream 1 draws random messages in
@@ -486,7 +485,7 @@ def round_rng(seed: int, round_index: int, stream: int = 0) -> RoundStream:
 
 
 def measure_decode(
-    state: QuantumState, rng: RoundStream, receiver_qubit: int = 2
+    state: QuantumState, rng: RoundStream, receiver_qubit: int
 ) -> tuple[str, tuple[str, ...]]:
     """Step-4 measurements: receiver pair in computational, everyone else in +/-.
 
@@ -504,7 +503,7 @@ def measure_decode(
     return pair, tuple(SIGNS[result] for result in results)
 
 
-def random_check_round(state: QuantumState, rng: RoundStream, n_parties: int = 3) -> CheckRecord:
+def random_check_round(state: QuantumState, rng: RoundStream, n_parties: int) -> CheckRecord:
     """Check round on qubits 1..n_parties with bases and results drawn from ``rng``.
 
     The replay rule fixes the draw order: all bases first, then one uniform per party.
@@ -515,17 +514,17 @@ def random_check_round(state: QuantumState, rng: RoundStream, n_parties: int = 3
 
 
 @functools.lru_cache(maxsize=128)
-def _honest_post_state(n_users: int, op: EncodingOp, receiver_qubit: int) -> QuantumState:
+def _honest_post_state(n_users: int, op: EncodingOp, receiver_qubit: int, /) -> QuantumState:
     # Message rounds of an honest session all start from this state.
     state = encode(prepare_ghz(n_users), op)
-    return bob_interaction(state, qubits=(1, receiver_qubit))
+    return bob_interaction(state, (1, receiver_qubit))
 
 
 def run_session(
-    config: SessionConfig, message_bits: int | None = None, round_index: int = 0
+    config: SessionConfig, message_bits: int | None, round_index: int
 ) -> SessionRecord:
     """Execute one full round (branch selection through decoding)."""
-    rng = round_rng(config.rng_seed, round_index)
+    rng = round_rng(config.rng_seed, round_index, 0)
     if rng.random() < config.p_check:
         record = random_check_round(prepare_ghz(config.n_users), rng, config.n_users + 1)
         return SessionRecord(round_index, check=record)
@@ -537,7 +536,7 @@ def run_session(
 
 
 def run_rounds(
-    config: SessionConfig, rounds: int, message_bits: int | None = None
+    config: SessionConfig, rounds: int, message_bits: int | None
 ) -> list[SessionRecord]:
     """Run consecutive rounds; random message per round when none is fixed.
 
@@ -549,6 +548,6 @@ def run_rounds(
     for idx in range(rounds):
         msg = message_bits
         if msg is None:
-            msg = round_rng(config.rng_seed, idx, stream=1).integers(4)
+            msg = round_rng(config.rng_seed, idx, 1).integers(4)
         records.append(run_session(config, msg, idx))
     return records

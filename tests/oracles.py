@@ -90,7 +90,7 @@ def born_probabilities(state, qubit: int, basis) -> tuple[float, float]:
 
 def born_decode_distribution(op: EncodingOp) -> dict[DecodeKey, float]:
     """Joint (pair, sign) distribution of one message round, by Born-rule enumeration."""
-    state = bob_interaction(encode(prepare_ghz(), op))
+    state = bob_interaction(encode(prepare_ghz(2), op), (1, 2))
     probs = outcome_distribution(state, (COMPUTATIONAL, COMPUTATIONAL, PLUS_MINUS))
     return {DecodeKey("eg"[b1] + "eg"[b2], SIGNS[s]): float(p) for (b1, b2, s), p in np.ndenumerate(probs)}
 
@@ -102,7 +102,7 @@ def ancilla_ensemble(theta: float) -> np.ndarray:
     receiver pair stays computational, the partner's share turns to the +/-
     basis by a Hadamard, keys in (q1, q2, sign) order, ancilla (e, g) last.
     """
-    amps = bob_interaction(attach_ancilla(prepare_ghz(), theta)).amplitudes.reshape(2, 2, 2, 2)
+    amps = bob_interaction(attach_ancilla(prepare_ghz(2), theta), (1, 2)).amplitudes.reshape(2, 2, 2, 2)
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     return np.einsum("st,abtc->absc", hadamard, amps).reshape(8, 2)
 
@@ -165,8 +165,8 @@ def timing_error_simulation(epsilon: float) -> float:
     """Worst squared overlap, over the four encoded inputs, of the canonical pulse's output
     with the output of a pulse whose coupling angle is (1 + epsilon) pi/4 (drive angle pi)."""
     perturbed = effective_unitary(PulseParams(lambda_t=(1.0 + epsilon) * np.pi / 4, omega_t=np.pi))
-    encoded = (encode(prepare_ghz(), op) for op in EncodingOp)
-    return min(fidelity(bob_interaction(s), apply_two_qubit(s, perturbed, (1, 2))) for s in encoded)
+    encoded = (encode(prepare_ghz(2), op) for op in EncodingOp)
+    return min(fidelity(bob_interaction(s, (1, 2)), apply_two_qubit(s, perturbed, (1, 2))) for s in encoded)
 
 
 def norm(state: QuantumState) -> float:

@@ -89,7 +89,7 @@ def test_criterion_1_encoding_correctness():
     """Each local operation maps the resource state to its listed output."""
     worst = 0.0
     for op, target in ENCODED_TARGETS.items():
-        out = encode(prepare_ghz(), op)
+        out = encode(prepare_ghz(2), op)
         if op is EncodingOp.I_SIGMA_Y:
             ok_state = global_phase_equal(out, target, 1e-10)
             worst = max(worst, 0.0 if ok_state else 1.0)
@@ -122,7 +122,7 @@ def test_criterion_3_canonical_pulse_outputs():
     """The canonical pulse carries each encoded state to its decodable product form."""
     ok = True
     for op, target in POST_INTERACTION_TARGETS.items():
-        out = bob_interaction(encode(prepare_ghz(), op))
+        out = bob_interaction(encode(prepare_ghz(2), op), (1, 2))
         ok = ok and global_phase_equal(out, target, 1e-10)
     report("3", ok, "post-interaction states match the decode targets up to global phase")
     assert ok
@@ -191,17 +191,17 @@ def test_criterion_5_security_numbers():
 
 def test_criterion_6_eavesdropping_detection():
     """Clean checks are silent; intercept-resend is caught; leakage needs disturbance."""
-    clean_rate = check_violation_rate(prepare_ghz())
+    clean_rate = check_violation_rate(prepare_ghz(2))
     rng = np.random.default_rng(60_001)
     sampled_violations = 0
     for _ in range(500):
         bases = ["XY"[rng.integers(2)] for _ in range(3)]
         rands = [rng.random() for _ in range(3)]
-        sampled_violations += security_check_round(prepare_ghz(), bases, rands).violation
+        sampled_violations += security_check_round(prepare_ghz(2), bases, rands).violation
     clean_ok = clean_rate == 0.0 and sampled_violations == 0
 
     detection = intercept_resend_detection(2, "computational")
-    model = AdversaryModel("intercept_resend", target_qubit=2, basis="computational")
+    model = AdversaryModel("intercept_resend", target_qubit=2, intercept_basis="computational")
     mc = monte_carlo_confirm(model, 10_000, seed=60_002)
     intercept_ok = (
         detection > 0
@@ -211,10 +211,9 @@ def test_criterion_6_eavesdropping_detection():
     grid_ok = True
     leak_free_points = 0
     for theta in np.linspace(0.0, np.pi / 2, 50):
-        point = ancilla_attack_tradeoff(float(theta))
-        if point.error_rate == 0.0:
+        if analytic_success(AdversaryModel("ancilla_attack", theta=float(theta))) == 0.0:
             leak_free_points += 1
-            grid_ok = grid_ok and point.information_bits < 1e-10
+            grid_ok = grid_ok and ancilla_attack_tradeoff(float(theta)) < 1e-10
     ok = clean_ok and intercept_ok and grid_ok
     report(
         "6",
@@ -299,7 +298,7 @@ def _coalition_guess_success(n_users: int, dropped_sign: int | None) -> float:
     n_signs = n_users - 1
     views: dict[tuple, dict[EncodingOp, float]] = {}
     for op in EncodingOp:
-        state = bob_interaction(encode(prepare_ghz(n_users), op))
+        state = bob_interaction(encode(prepare_ghz(n_users), op), (1, 2))
         tensor = state.amplitudes.reshape([2] * (n_users + 1))
         for bits in product((0, 1), repeat=n_users + 1):
             bras = [comp[bits[0]], comp[bits[1]]] + [signs_vec[b] for b in bits[2:]]

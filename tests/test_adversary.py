@@ -19,7 +19,6 @@ from ghzdc import adversary
 from ghzdc.adversary import (
     STRATEGIES,
     AdversaryModel,
-    AncillaTradeoff,
     CheatReport,
     ancilla_attack_tradeoff,
     attach_ancilla,
@@ -29,6 +28,7 @@ from ghzdc.adversary import (
     intercept_resend_detection,
     monte_carlo_confirm,
 )
+from ghzdc.cavity import CANONICAL_PULSE, effective_unitary
 from ghzdc.cli import MODEL_FLAGS
 from ghzdc.protocol import (
     CHECK_BASES,
@@ -36,10 +36,14 @@ from ghzdc.protocol import (
     CheckRecord,
     DecodeKey,
     EncodingOp,
+    SessionConfig,
+    _honest_post_state,
+    _mix_steps,
     decode,
     encode,
     parity_accept_set,
     prepare_ghz,
+    run_rounds,
 )
 from ghzdc.qstate import QuantumState, outcome_distribution
 from oracles import (
@@ -57,11 +61,11 @@ from oracles import (
 class TestModels:
     def test_intercept_requires_transit_qubit(self):
         with pytest.raises(ValueError):
-            AdversaryModel("intercept_resend", target_qubit=1, basis="computational")
+            AdversaryModel("intercept_resend", target_qubit=1, intercept_basis="computational")
 
     def test_intercept_basis_checked(self):
         with pytest.raises(ValueError):
-            AdversaryModel("intercept_resend", target_qubit=2, basis="hadamard")
+            AdversaryModel("intercept_resend", target_qubit=2, intercept_basis="hadamard")
 
     def test_theta_range_checked(self):
         with pytest.raises(ValueError):
@@ -75,7 +79,7 @@ class TestModels:
 
     def test_cli_flags_and_strategy_table_agree(self):
         for kind in MODEL_FLAGS.values():
-            model = AdversaryModel(kind, target_qubit=2, basis="computational", theta=0.3)
+            model = AdversaryModel(kind, target_qubit=2, intercept_basis="computational", theta=0.3)
             assert model.kind == kind
         assert set(STRATEGIES) <= set(MODEL_FLAGS.values())
 
@@ -160,7 +164,7 @@ class TestInterceptResend:
             assert intercept_resend_detection(2, basis) == intercept_resend_detection(3, basis)
 
     def test_clean_state_rate_is_zero(self):
-        assert check_violation_rate(prepare_ghz()) == 0
+        assert check_violation_rate(prepare_ghz(2)) == 0
 
     def test_product_state_rate(self):
         assert check_violation_rate(basis_state("eee")) == pytest.approx(0.25)
@@ -184,58 +188,52 @@ class TestInterceptResend:
         )
 
 
+def ancilla_rate(theta: float) -> float:
+    """The ancilla family's detection side: its analytic check-round violation rate."""
+    return analytic_success(AdversaryModel("ancilla_attack", theta=theta))
+
+
 class TestAncillaAttack:
     def test_identity_attack_leaks_nothing(self):
-        point = ancilla_attack_tradeoff(0.0)
-        assert point.error_rate < 1e-12
-        assert point.information_bits < 1e-10
+        assert ancilla_rate(0.0) < 1e-12
+        assert ancilla_attack_tradeoff(0.0) < 1e-10
 
     def test_full_rotation_is_family_maximum(self):
         full = ancilla_attack_tradeoff(math.pi / 2)
-        assert full.error_rate == pytest.approx(0.25, abs=1e-10)
-        assert full.information_bits == pytest.approx(1.0, abs=1e-9)
+        assert ancilla_rate(math.pi / 2) == pytest.approx(0.25, abs=1e-10)
+        assert full == pytest.approx(1.0, abs=1e-9)
         for theta in np.linspace(0, math.pi / 2, 7):
-            assert ancilla_attack_tradeoff(float(theta)).information_bits <= (
-                full.information_bits + 1e-9
-            )
+            assert ancilla_attack_tradeoff(float(theta)) <= full + 1e-9
 
     def test_information_needs_disturbance(self):
         """Zero check-round error implies zero leakage across the family."""
         for theta in np.linspace(0.0, math.pi / 2, 11):
-            point = ancilla_attack_tradeoff(float(theta))
-            if point.error_rate == 0.0:
-                assert point.information_bits < 1e-10
+            rate = ancilla_rate(float(theta))
+            if rate == 0.0:
+                assert ancilla_attack_tradeoff(float(theta)) < 1e-10
             if theta > 0:
-                assert point.error_rate > 0
+                assert rate > 0
 
     def test_monotone_tradeoff(self):
-        errors, infos = [], []
-        for theta in np.linspace(0.0, math.pi / 2, 9):
-            point = ancilla_attack_tradeoff(float(theta))
-            errors.append(point.error_rate)
-            infos.append(point.information_bits)
+        thetas = [float(t) for t in np.linspace(0.0, math.pi / 2, 9)]
+        errors = [ancilla_rate(theta) for theta in thetas]
+        infos = [ancilla_attack_tradeoff(theta) for theta in thetas]
         assert all(a <= b + 1e-12 for a, b in zip(errors, errors[1:]))
         assert all(a <= b + 1e-9 for a, b in zip(infos, infos[1:]))
 
     def test_attach_ancilla_shape(self):
-        attacked = attach_ancilla(prepare_ghz(), 0.3)
+        attacked = attach_ancilla(prepare_ghz(2), 0.3)
         assert attacked.num_qubits == 4
         assert norm(attacked) == pytest.approx(1.0, abs=1e-12)
 
-    def test_returns_tradeoff_record(self):
-        point = ancilla_attack_tradeoff(0.2)
-        assert isinstance(point, AncillaTradeoff)
-        assert point.theta == 0.2
+    def test_returns_information_bits(self):
+        """The tradeoff call returns only the leak, a float; the rate has one route."""
+        assert type(ancilla_attack_tradeoff(0.2)) is float
 
-    def test_error_rate_is_the_analytic_value(self):
-        """The tradeoff stores theta and the information; the rate has one route."""
-        assert [f.name for f in dataclasses.fields(AncillaTradeoff)] == ["theta", "information_bits"]
+    def test_detection_rate_is_the_enumerated_check_rate(self):
         for theta in (0.0, 0.3, 0.7854, math.pi / 2):
-            point = ancilla_attack_tradeoff(theta)
-            exact = analytic_success(AdversaryModel("ancilla_attack", theta=theta))
-            assert point.error_rate == exact  # bit for bit
-            with pytest.raises(AttributeError):
-                point.error_rate = 0.0
+            attacked = attach_ancilla(prepare_ghz(2), theta)
+            assert ancilla_rate(theta) == check_violation_rate(attacked)  # bit for bit
 
 
 # The family's angles, endpoints included.
@@ -262,19 +260,19 @@ class TestAncillaClosedForms:
     def test_information_bits_respects_holevo_bound(self):
         """The reported value is the Holevo quantity itself: h2(sin^2(theta/2)), neither above nor below."""
         for theta in THETAS_41:
-            assert abs(ancilla_attack_tradeoff(theta).information_bits - h2_of(theta)) <= 1e-12
+            assert abs(ancilla_attack_tradeoff(theta) - h2_of(theta)) <= 1e-12
 
     def test_eigenbasis_readout_reaches_information_bits(self):
         """One projective readout learns the reported value, so it is the accessible
         information, not only an upper bound on it."""
         for theta in THETAS_41[1:]:
             readout = eigenbasis_readout_information(theta)
-            assert abs(readout - ancilla_attack_tradeoff(theta).information_bits) <= 1e-12
+            assert abs(readout - ancilla_attack_tradeoff(theta)) <= 1e-12
 
     def test_attacked_check_round_distribution(self):
         """Result string b under k Y bases: (1 + cos(theta) Re[i (-i)^k (-1)^|b|]) / 8."""
         for theta in THETAS_17:
-            attacked = attach_ancilla(prepare_ghz(), theta)
+            attacked = attach_ancilla(prepare_ghz(2), theta)
             for combo in product("XY", repeat=3):
                 probs = outcome_distribution(attacked, [CHECK_BASES[label] for label in combo])
                 phase = 1j * (-1j) ** combo.count("Y")
@@ -315,7 +313,7 @@ class TestMonteCarlo:
             AdversaryModel("charlie_lies"),
             AdversaryModel("bob_alone_guess"),
             AdversaryModel("charlie_alone_guess"),
-            AdversaryModel("intercept_resend", target_qubit=2, basis="computational"),
+            AdversaryModel("intercept_resend", target_qubit=2, intercept_basis="computational"),
         ],
     )
     def test_empirical_matches_analytic(self, model):
@@ -351,7 +349,7 @@ class TestMonteCarlo:
             AdversaryModel("charlie_lies"),
             AdversaryModel("bob_flips"),
             AdversaryModel("charlie_flips"),
-            AdversaryModel("intercept_resend", target_qubit=3, basis="x"),
+            AdversaryModel("intercept_resend", target_qubit=3, intercept_basis="x"),
             AdversaryModel("ancilla_attack", theta=0.4),
         ):
             value = analytic_success(model)
@@ -373,7 +371,7 @@ class TestMonteCarlo:
 
     def test_check_attacks_keep_their_exact_types(self):
         intercept = analytic_success(AdversaryModel("intercept_resend", target_qubit=2,
-                                                    basis="computational"))
+                                                    intercept_basis="computational"))
         assert type(intercept) is Fraction
         assert intercept == Fraction(1, 4)
         assert type(analytic_success(AdversaryModel("ancilla_attack", theta=0.4))) is float
@@ -386,7 +384,8 @@ class TestCachedRoundInputs:
         "model,empirical",
         [
             (AdversaryModel("bob_lies"), 0.7485),
-            (AdversaryModel("intercept_resend", target_qubit=2, basis="computational"), 0.253),
+            (AdversaryModel("intercept_resend", target_qubit=2,
+                            intercept_basis="computational"), 0.253),
             (AdversaryModel("ancilla_attack", theta=0.7854), 0.078),
         ],
     )
@@ -395,10 +394,10 @@ class TestCachedRoundInputs:
         assert monte_carlo_confirm(model, 2000, seed=5).empirical_success == empirical
 
     def test_attached_state_is_cached(self):
-        assert attach_ancilla(prepare_ghz(), 0.7854) is attach_ancilla(prepare_ghz(), 0.7854)
+        assert attach_ancilla(prepare_ghz(2), 0.7854) is attach_ancilla(prepare_ghz(2), 0.7854)
 
     def test_equal_distinct_state_gives_equal_result(self):
-        ghz = prepare_ghz()
+        ghz = prepare_ghz(2)
         copy = QuantumState(ghz.amplitudes.copy())
         assert copy is not ghz
         np.testing.assert_array_equal(
@@ -406,7 +405,7 @@ class TestCachedRoundInputs:
         )
 
     def test_other_inputs_give_other_states(self):
-        ghz = prepare_ghz()
+        ghz = prepare_ghz(2)
         base = attach_ancilla(ghz, 0.3)
         assert not allclose(attach_ancilla(ghz, 0.7), base)
         assert not allclose(attach_ancilla(encode(ghz, EncodingOp.SIGMA_X), 0.3), base)
@@ -418,3 +417,36 @@ class TestCachedRoundInputs:
                 expected = tuple(decode(p, [key.sign]) != op for p in PAIRS)
                 assert outcomes(op, key) == expected
                 assert outcomes(op, key) is outcomes(op, key)
+
+
+class TestOneCacheKeyPerValue:
+    """Each cached builder takes its arguments positionally and has no default,
+    so one value is one cache key and one object, whichever layer asks for it."""
+
+    def test_two_user_paths_share_one_ghz(self):
+        prepare_ghz.cache_clear()
+        parity_accept_set.cache_clear()
+        run_rounds(SessionConfig(rng_seed=3, p_check=0.5), 200, None)
+        # Positional fields, so the same models build on either spelling of the basis field.
+        for model in (AdversaryModel("intercept_resend", 2, "x"),
+                      AdversaryModel("ancilla_attack", None, None, 0.7854)):
+            monte_carlo_confirm(model, 100, 0)
+            analytic_success(model)
+        ancilla_attack_tradeoff(0.7854)
+        assert prepare_ghz.cache_info().currsize == 1
+        assert parity_accept_set.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda: prepare_ghz(),
+        lambda: prepare_ghz(n_users=2),
+        lambda: parity_accept_set(),
+        lambda: parity_accept_set(n_parties=3),
+        lambda: _honest_post_state(n_users=2, op=EncodingOp.IDENTITY, receiver_qubit=2),
+        lambda: attach_ancilla(state=prepare_ghz(2), theta=0.3),
+        lambda: effective_unitary(pulse=CANONICAL_PULSE),
+        lambda: _mix_steps(n_words=3),
+    ], ids=["ghz-default", "ghz-keyword", "accept-default", "accept-keyword", "post-state-keyword",
+            "ancilla-keyword", "unitary-keyword", "mix-keyword"])
+    def test_keyword_or_missing_argument_is_refused(self, call):
+        with pytest.raises(TypeError):
+            call()

@@ -187,7 +187,7 @@ class TestSweeps:
             error = float(row["error"])
             assert 0.0 <= error <= 1.0
             params = CavityParams.from_ratios(float(row["delta_over_g"]), 20.0)
-            assert error == validate_effective_model(params, FockSpace(6), CANONICAL_PULSE)
+            assert error == validate_effective_model(params, FockSpace(6), CANONICAL_PULSE, 0)
 
     @pytest.mark.parametrize(
         "argv,field",

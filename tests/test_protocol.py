@@ -111,22 +111,23 @@ def key_probabilities(state: QuantumState) -> dict[DecodeKey, float]:
 
 class TestPrepareGhz:
     def test_amplitudes(self):
-        s = prepare_ghz()
+        s = prepare_ghz(2)
         assert amplitude(s, "eee") == pytest.approx(SQ2, abs=1e-12)
         assert amplitude(s, "ggg") == pytest.approx(1j * SQ2, abs=1e-12)
         assert np.count_nonzero(s.amplitudes) == 2
 
     def test_normalized(self):
-        assert norm(prepare_ghz()) == pytest.approx(1.0, abs=1e-12)
+        assert norm(prepare_ghz(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_single_qubit_marginals(self):
-        s = prepare_ghz()
+        s = prepare_ghz(2)
         for q in (1, 2, 3):
             p0, _ = born_probabilities(s, q, COMPUTATIONAL)
             assert p0 == pytest.approx(0.5, abs=1e-10)
 
     def test_n_user_reduction(self):
-        assert allclose(prepare_ghz(2), prepare_ghz())
+        """Two users give the paper's tripartite state, (|eee> + i|ggg>)/sqrt(2)."""
+        assert allclose(prepare_ghz(2), vec({0: SQ2, 7: 1j * SQ2}))
 
     def test_n_user_structure(self):
         s = prepare_ghz(5)
@@ -152,7 +153,7 @@ class TestPrepareGhz:
 class TestEncode:
     @pytest.mark.parametrize("op", list(EncodingOp))
     def test_matches_expected_state(self, op):
-        out = encode(prepare_ghz(), op)
+        out = encode(prepare_ghz(2), op)
         if op is EncodingOp.I_SIGMA_Y:
             # The sign representative differs from the target by a global -1.
             assert global_phase_equal(out, ENCODED[op], 1e-10)
@@ -170,19 +171,19 @@ class TestEncode:
 class TestBobInteraction:
     @pytest.mark.parametrize("op", list(EncodingOp))
     def test_canonical_pulse_reaches_decodable_state(self, op):
-        out = bob_interaction(encode(prepare_ghz(), op))
+        out = bob_interaction(encode(prepare_ghz(2), op), (1, 2))
         assert global_phase_equal(out, POST_INTERACTION[op], 1e-10)
 
     def test_zero_pulse_is_identity(self):
         from ghzdc.cavity import PulseParams, effective_unitary
         from ghzdc.qstate import apply_two_qubit
 
-        s = encode(prepare_ghz(), EncodingOp.SIGMA_X)
+        s = encode(prepare_ghz(2), EncodingOp.SIGMA_X)
         assert allclose(apply_two_qubit(s, effective_unitary(PulseParams(0, 0)), (1, 2)), s, tol=1e-12)
 
     def test_small_register_rejected(self):
         with pytest.raises(ValueError):
-            bob_interaction(basis_state("ee"))
+            bob_interaction(basis_state("ee"), (1, 2))
 
 
 class TestDecodeTable:
@@ -207,7 +208,7 @@ class TestDecodeTable:
     @pytest.mark.parametrize("op", list(EncodingOp))
     def test_born_rule_enumeration(self, op):
         """Each encoding puts probability 1/2 on its two keys and 0 elsewhere."""
-        probs = key_probabilities(bob_interaction(encode(prepare_ghz(), op)))
+        probs = key_probabilities(bob_interaction(encode(prepare_ghz(2), op), (1, 2)))
         for key, p in probs.items():
             target = 0.5 if key in VALID_KEYS[op] else 0.0
             assert p == pytest.approx(target, abs=1e-10)
@@ -223,7 +224,7 @@ class TestDecodeTable:
     def test_sign_marginal_is_encoding_independent(self):
         """The third party's +/- marginal is exactly 1/2 whatever the message."""
         for op in EncodingOp:
-            state = bob_interaction(encode(prepare_ghz(), op))
+            state = bob_interaction(encode(prepare_ghz(2), op), (1, 2))
             p_plus, p_minus = born_probabilities(state, 3, PLUS_MINUS)
             assert p_plus == pytest.approx(0.5, abs=1e-10)
 
@@ -311,7 +312,7 @@ class TestAcceptSet:
         for _ in range(300):
             bases = ["XY"[rng.integers(2)] for _ in range(3)]
             rands = [rng.random() for _ in range(3)]
-            record = security_check_round(prepare_ghz(), bases, rands)
+            record = security_check_round(prepare_ghz(2), bases, rands)
             assert isinstance(record, CheckRecord)
             assert not record.violation
 
@@ -332,7 +333,7 @@ class TestAcceptSet:
 
     def test_bad_bases_rejected(self):
         with pytest.raises(ValueError):
-            security_check_round(prepare_ghz(), ["X", "Z", "Y"], [0.1, 0.2, 0.3])
+            security_check_round(prepare_ghz(2), ["X", "Z", "Y"], [0.1, 0.2, 0.3])
 
 
 class TestRunSession:
@@ -413,17 +414,17 @@ class TestRunSession:
 
     def test_run_rounds_draws_reproducible_messages(self):
         config = SessionConfig(rng_seed=55, p_check=0.1)
-        a = run_rounds(config, 60)
-        b = run_rounds(config, 60)
+        a = run_rounds(config, 60, None)
+        b = run_rounds(config, 60, None)
         assert a == b
         encodes = [r for r in a if r.branch == "encode"]
         assert {r.message_bits for r in encodes} == {0, 1, 2, 3}
         assert all(r.decoded_bits == r.message_bits for r in encodes)
 
     def test_round_rng_streams_are_stable(self):
-        assert round_rng(1, 2).random() == round_rng(1, 2).random()
-        assert round_rng(1, 2).random() != round_rng(1, 3).random()
-        assert round_rng(1, 2, stream=1).random() != round_rng(1, 2, stream=0).random()
+        assert round_rng(1, 2, 0).random() == round_rng(1, 2, 0).random()
+        assert round_rng(1, 2, 0).random() != round_rng(1, 3, 0).random()
+        assert round_rng(1, 2, 1).random() != round_rng(1, 2, 0).random()
 
 
 class TestRoundStream:
@@ -470,7 +471,7 @@ class TestRoundStream:
             assert ours == self.draws(numpy_round_rng(9, round_index, 1), ks)
 
     def test_k_one_draws_nothing(self):
-        assert self.draws(round_rng(9, 0), [1, 1, None]) == [0, 0, round_rng(9, 0).random()]
+        assert self.draws(round_rng(9, 0, 0), [1, 1, None]) == [0, 0, round_rng(9, 0, 0).random()]
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_lemire_rejection(self, k):
@@ -512,7 +513,7 @@ class TestDecodeNOracle:
     def test_multi_user_enumeration(self):
         """Four-qubit enumeration confirms the parity decoding rule from scratch."""
         for op in EncodingOp:
-            state = bob_interaction(encode(prepare_ghz(3), op))
+            state = bob_interaction(encode(prepare_ghz(3), op), (1, 2))
             tensor = state.amplitudes.reshape(2, 2, 2, 2)
             comp = {0: np.array([1.0, 0]), 1: np.array([0, 1.0])}
             sign_vecs = {"+": np.array([SQ2, SQ2]), "-": np.array([SQ2, -SQ2])}
@@ -557,7 +558,7 @@ class TestSessionRecordJson:
         d = record.to_json_dict()
         assert d["round_index"] == 9
         assert d["branch"] == "encode"
-        assert d["decoded"] == record.decoded
+        assert (d["decoded"], d["decoded_bits"]) == ("SIGMA_X", 1)
         assert d["check"] is None
 
     def test_check_record_fields(self):
@@ -590,10 +591,13 @@ class TestDerivedRecords:
             for results in product((0, 1), repeat=n_parties):
                 record = CheckRecord(bases, results)
                 observed = sum(results) % 2
+                violation = expected is not None and observed != expected
                 assert record.expected_parity == expected
-                assert record.in_accept_set is (expected is not None)
                 assert record.observed_parity == observed
-                assert record.violation is (expected is not None and observed != expected)
+                assert record.violation is violation
+                row = record.to_json_dict()
+                assert (row["in_accept_set"], row["expected_parity"], row["observed_parity"],
+                        row["violation"]) == (expected is not None, expected, observed, violation)
 
     @pytest.mark.parametrize("n_users", [2, 3])
     def test_message_record_decodes_its_results(self, n_users):
@@ -601,13 +605,13 @@ class TestDerivedRecords:
             record = SessionRecord(5, bits, pair, signs)
             op = decode(pair, signs)
             assert (record.branch, record.encoding) == ("encode", EncodingOp(bits).name)
-            assert (record.decoded, record.decoded_bits) == (op.name, op.value)
+            assert record.decoded_bits == op.value
+            assert record.to_json_dict()["decoded"] == op.name
 
     def test_check_round_has_no_decode(self):
         record = SessionRecord(3, check=CheckRecord(("X", "X", "Y"), (0, 1, 1)))
         assert record.branch == "check"
-        for name in ("message_bits", "encoding", "bob_outcomes", "partner_signs", "decoded",
-                     "decoded_bits"):
+        for name in ("message_bits", "encoding", "bob_outcomes", "partner_signs", "decoded_bits"):
             assert getattr(record, name) is None
 
     def test_derived_fields_are_read_only(self):
@@ -639,7 +643,7 @@ class TestLibraryEdges:
         (lambda: SessionConfig(rng_seed=1.5), "rng_seed"),
         (lambda: SessionConfig(rng_seed=-1), "rng_seed"),
         (lambda: SessionConfig(p_check="0.5"), "p_check"),
-        (lambda: run_rounds(SessionConfig(), 2.5), "rounds"),
+        (lambda: run_rounds(SessionConfig(), 2.5, None), "rounds"),
         (lambda: prepare_ghz(2.0), "n_users"),
         (lambda: decode_table(2.0), "n_users"),
         (lambda: parity_accept_set(3.0), "n_parties"),
@@ -658,7 +662,7 @@ class TestLibraryEdges:
             (lambda: decode_table(1), "n_users must be 2..11, got 1"),
             (lambda: parity_accept_set(13), "n_parties must be 3..12, got 13"),
             (lambda: SessionConfig(n_users=12), "n_users must be 2..11, got 12"),
-            (lambda: run_rounds(SessionConfig(), 0), "rounds must be >= 1, got 0"),
+            (lambda: run_rounds(SessionConfig(), 0, None), "rounds must be >= 1, got 0"),
         ):
             with pytest.raises(ValueError) as excinfo:
                 call()

@@ -1,6 +1,6 @@
 """tools/golden_transcripts.py --compare on hand-written transcript sets, the
-byte contract against the committed transcript set, and tools/unreached.py on
-one CLI invocation."""
+byte contract against the committed transcript set, tools/unreached.py on
+one CLI invocation, and tools/settable_values.py on a small fixture package."""
 
 import importlib.util
 import json
@@ -25,6 +25,7 @@ def _load(name: str):
 
 
 golden = _load("golden_transcripts")
+settable = _load("settable_values")
 unreached = _load("unreached")
 
 ERROR = 0.014183283265061925
@@ -114,3 +115,60 @@ def test_tool_without_ghzdc_prints_usage(tmp_path, tool, args):
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert "PYTHONPATH=src" in run.stderr
+
+
+# Each settable value is marked "+1"; ten in all.
+SETTABLE_FIXTURE = {
+    "calls.py": """
+import dataclasses
+from dataclasses import dataclass
+from typing import ClassVar
+
+
+def positional(a, b=1, c=2, /, d=3):  # +1 +1 +1
+    return a
+
+
+def keyword_only(a, *, b, c=4):  # +1
+    return a
+
+
+scale = lambda x, k=2: x * k  # +1
+
+
+class Plain:
+    annotated: int = 0  # not a dataclass field
+
+    def method(self, x=1):  # +1
+        return x
+
+
+@dataclass(frozen=True)
+class Fields:
+    a: int  # +1
+    b: int = 1  # +1
+    shared: ClassVar[int] = 0  # a class attribute, not a field
+
+    def method(self, y=None):  # +1
+        return y
+
+
+@dataclasses.dataclass
+class Qualified:
+    x: float  # +1
+""",
+    "empty.py": "",
+}
+
+
+def test_settable_values_on_fixture_package(tmp_path, capsys):
+    for name, text in SETTABLE_FIXTURE.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert settable.main(["settable_values.py", str(tmp_path)]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines == [["calls.py", "10"], ["empty.py", "0"], ["total", "10"]]
+
+
+def test_settable_values_without_modules(tmp_path, capsys):
+    assert settable.main(["settable_values.py", str(tmp_path)]) == 2
+    assert "no Python modules" in capsys.readouterr().err
