@@ -102,7 +102,8 @@ def ancilla_ensemble(theta: float) -> np.ndarray:
     receiver pair stays computational, the partner's share turns to the +/-
     basis by a Hadamard, keys in (q1, q2, sign) order, ancilla (e, g) last.
     """
-    amps = bob_interaction(attach_ancilla(prepare_ghz(2), theta), (1, 2)).amplitudes.reshape(2, 2, 2, 2)
+    attacked = bob_interaction(attach_ancilla(prepare_ghz(2), theta), (1, 2))
+    amps = attacked.amplitudes.reshape(2, 2, 2, 2)
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     return np.einsum("st,abtc->absc", hadamard, amps).reshape(8, 2)
 
@@ -166,7 +167,8 @@ def timing_error_simulation(epsilon: float) -> float:
     with the output of a pulse whose coupling angle is (1 + epsilon) pi/4 (drive angle pi)."""
     perturbed = effective_unitary(PulseParams(lambda_t=(1.0 + epsilon) * np.pi / 4, omega_t=np.pi))
     encoded = (encode(prepare_ghz(2), op) for op in EncodingOp)
-    return min(fidelity(bob_interaction(s, (1, 2)), apply_two_qubit(s, perturbed, (1, 2))) for s in encoded)
+    pair = (1, 2)
+    return min(fidelity(bob_interaction(s, pair), apply_two_qubit(s, perturbed, pair)) for s in encoded)
 
 
 def norm(state: QuantumState) -> float:

@@ -427,9 +427,8 @@ class TestOneCacheKeyPerValue:
         prepare_ghz.cache_clear()
         parity_accept_set.cache_clear()
         run_rounds(SessionConfig(rng_seed=3, p_check=0.5), 200, None)
-        # Positional fields, so the same models build on either spelling of the basis field.
         for model in (AdversaryModel("intercept_resend", 2, "x"),
-                      AdversaryModel("ancilla_attack", None, None, 0.7854)):
+                      AdversaryModel("ancilla_attack", theta=0.7854)):
             monte_carlo_confirm(model, 100, 0)
             analytic_success(model)
         ancilla_attack_tradeoff(0.7854)
