@@ -3,6 +3,7 @@
 Importing the package loads no submodule; import each from ``ghzdc.<module>``.
 """
 
+import operator
 import os
 
 # The cavity layer's eigensolves are a few hundred dimensions at most, where
@@ -12,3 +13,17 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
+
+
+def _check_count(name: str, value, low: int, high: int | None) -> int:
+    """The integer rule of every library entry: ``value`` as a plain ``int`` in low..high (no
+    upper end when None), so a numpy integer keys the caches as its ``int`` does and a ``bool``
+    counts as its ``int``.  Anything else raises ``ValueError`` naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"{low}..{high}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
+from . import _check_count
 from .protocol import (
     CHECK_BASES,
     DECODE_TABLE,
@@ -36,7 +38,6 @@ from .protocol import (
     DecodeKey,
     EncodingOp,
     RoundStream,
-    _check_count,
     _honest_post_state,
     bob_interaction,
     measure_decode,
@@ -59,19 +60,20 @@ from .qstate import (
 
 INTERCEPT_BASES = {"computational": COMPUTATIONAL, "x": PLUS_MINUS, "y": Y_BASIS}
 
-# One range rule per model parameter: (accepts the value, message otherwise).
+# One rule per model parameter: returns the value to store, or raises ValueError naming it.
 PARAM_CHECKS = {
-    "target_qubit": (lambda q: q in (2, 3), "intercept target must be qubit 2 or 3 (atoms in transit)"),
-    "intercept_basis": (lambda b: b in INTERCEPT_BASES,
-                        f"intercept basis must be one of {sorted(INTERCEPT_BASES)}"),
-    "theta": (lambda t: t is not None and 0.0 <= t <= math.pi / 2, "theta must lie in [0, pi/2]"),
+    "target_qubit": lambda q: _check_count("target_qubit", q, 2, 3),  # the atoms in transit
+    "intercept_basis": lambda b: _accepted(b, isinstance(b, str) and b in INTERCEPT_BASES,
+                                           f"intercept_basis must be one of {list(INTERCEPT_BASES)}"),
+    "theta": lambda t: _accepted(t, isinstance(t, numbers.Real) and 0.0 <= t <= math.pi / 2,
+                                 "theta must lie in [0, pi/2]"),
 }
 
 
-def _check_param(name: str, value) -> None:
-    accepts, message = PARAM_CHECKS[name]
-    if not accepts(value):
-        raise ValueError(message)
+def _accepted(value, ok: bool, message: str):
+    if not ok:
+        raise ValueError(f"{message}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,10 @@ class AdversaryModel:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in STRATEGIES:
+        if not (isinstance(self.kind, str) and self.kind in STRATEGIES):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         for name in STRATEGIES[self.kind].params:
-            _check_param(name, getattr(self, name))
+            object.__setattr__(self, name, PARAM_CHECKS[name](getattr(self, name)))
 
 
 def _snap(p: float) -> Fraction:
@@ -139,8 +141,8 @@ def intercept_resend_detection(target_qubit: int, intercept_basis: str) -> Fract
     eavesdropper forwards; every branch probability here is an exact dyadic
     rational, recovered from the enumeration by snapping.
     """
-    _check_param("target_qubit", target_qubit)
-    _check_param("intercept_basis", intercept_basis)
+    target_qubit = PARAM_CHECKS["target_qubit"](target_qubit)
+    intercept_basis = PARAM_CHECKS["intercept_basis"](intercept_basis)
     ghz = prepare_ghz(2)
     total = Fraction(0)
     for result in (0, 1):
@@ -191,7 +193,7 @@ def ancilla_attack_tradeoff(theta: float) -> float:
     symmetry gives the same value for every message and captures what the
     eavesdropper learns about the parties' measurement records.
     """
-    _check_param("theta", theta)
+    theta = PARAM_CHECKS["theta"](theta)
     evolved = bob_interaction(attach_ancilla(prepare_ghz(2), theta), (1, 2))
     rotated = basis_amplitudes(evolved, (None, None, PLUS_MINUS))  # (q1, q2, sign, anc)
     # Sub-normalized ancilla density matrix per decode key, keys in (q1, q2, sign) order.

@@ -29,11 +29,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from . import _check_count
 
 _SQRT_HALF = math.sqrt(0.5)
 _TRIPLET_SLOTS = np.array([0, 1, 3])  # ee, T0, gg in the exchange pair basis
@@ -119,14 +120,7 @@ class FockSpace:
     n_max: int = 8
 
     def __post_init__(self):
-        try:
-            operator.index(self.n_max)
-        except TypeError:
-            raise ValueError(f"n_max must be an integer, got {self.n_max!r}") from None
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if self.n_max > MAX_FOCK:
-            raise ValueError(f"n_max must be <= {MAX_FOCK}, got {self.n_max}")
+        object.__setattr__(self, "n_max", _check_count("n_max", self.n_max, 1, MAX_FOCK))
 
     @property
     def levels(self) -> int:
@@ -202,15 +196,11 @@ def full_hamiltonian(params: CavityParams, fock: FockSpace) -> tuple[np.ndarray,
 
 
 def _cavity_weights(initial_cavity, levels: int) -> np.ndarray:
-    if isinstance(initial_cavity, (int, np.integer)):
-        if not 0 <= initial_cavity < levels:
-            raise ValueError(f"Fock index {initial_cavity} outside 0..{levels - 1}")
-        weights = np.zeros(levels)
-        weights[initial_cavity] = 1.0
-        return weights
-    weights = np.asarray(initial_cavity, dtype=float)
-    if not np.all(np.isfinite(weights)):
-        raise ValueError(f"mixture weights must be finite, got {initial_cavity!r}")
+    if isinstance(initial_cavity, numbers.Integral):  # a Fock index: weight 1 on that level
+        initial_cavity = [0] * _check_count("initial_cavity", initial_cavity, 0, levels - 1) + [1]
+    weights = np.asarray(initial_cavity)
+    if weights.dtype.kind not in "iuf" or not np.all(np.isfinite(weights)):
+        raise ValueError(f"mixture weights must be finite real numbers, got {initial_cavity!r}")
     if weights.ndim != 1 or weights.size > levels or np.any(weights < 0):
         raise ValueError("mixture weights must be a nonnegative vector within the truncation")
     total = weights.sum()

@@ -330,7 +330,7 @@ def main(argv=None) -> int:
         else:
             with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
                 fh.write(data)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL character
         print(f"ghzdc: cannot write output: {exc}", file=sys.stderr)
         return 3
     duration = time.monotonic() - started

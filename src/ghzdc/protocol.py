@@ -25,13 +25,12 @@ import enum
 import functools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 
 import numpy as np
 
-from . import qstate
+from . import _check_count, qstate
 from .cavity import CANONICAL_PULSE, effective_unitary
 from .qstate import (
     COMPUTATIONAL,
@@ -45,21 +44,6 @@ from .qstate import (
 )
 
 MAX_USERS = 11
-
-
-def _check_count(name: str, value, low: int, high: int | None) -> int:
-    """The one rule for counts and seeds: an integer in low..high (no upper end when None).
-
-    Returns the value as a plain ``int``, so a numpy integer keys the caches as its ``int`` does.
-    """
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < low or high is not None and value > high:
-        bound = f">= {low}" if high is None else f"{low}..{high}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-    return value
 
 
 class Role(str, enum.Enum):
@@ -85,13 +69,26 @@ _ENCODING_MATRICES = {
 }
 
 
-@functools.lru_cache(maxsize=None)
+def _cached_count(name: str, low: int, high: int):
+    """An ``lru_cache`` keyed by ``_check_count(name, value, low, high)``, run on every call."""
+    def decorate(build):
+        cached = functools.lru_cache(maxsize=None)(build)
+
+        @functools.wraps(build)
+        def checked(value, /):
+            return cached(_check_count(name, value, low, high))
+
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+    return decorate
+
+
+@_cached_count("n_users", 2, MAX_USERS)
 def prepare_ghz(n_users: int, /) -> QuantumState:
     """Resource state (|e...e> + i|g...g>)/sqrt(2) on n_users + 1 qubits.
 
     Built once per ``n_users``; every call returns the same immutable state.
     """
-    _check_count("n_users", n_users, 2, MAX_USERS)
     amps = np.zeros(2 ** (n_users + 1), dtype=complex)
     amps[0] = SQRT_HALF
     amps[-1] = 1j * SQRT_HALF
@@ -195,7 +192,7 @@ def decode_table(n_users: int) -> list[tuple[str, tuple[str, ...], EncodingOp]]:
 CHECK_BASES = {"X": PLUS_MINUS, "Y": Y_BASIS}
 
 
-@functools.lru_cache(maxsize=None)
+@_cached_count("n_parties", 3, MAX_USERS + 1)
 def parity_accept_set(n_parties: int, /) -> dict[str, int]:
     """Basis combinations with deterministic outcome parity on the honest state.
 
@@ -206,7 +203,6 @@ def parity_accept_set(n_parties: int, /) -> dict[str, int]:
     Keys follow ``product("XY", repeat=n_parties)`` order; the tests check
     the map against Born-rule enumeration.
     """
-    _check_count("n_parties", n_parties, 3, MAX_USERS + 1)
     accept: dict[str, int] = {}
     for combo in product("XY", repeat=n_parties):
         k = combo.count("Y")
@@ -408,9 +404,7 @@ def _mix_steps(n_words: int, /) -> tuple[tuple[int, int, int, int], ...]:
 def _entropy_words(numbers) -> list[int]:
     """Little-endian 32-bit words of each non-negative integer in turn; 0 gives [0]."""
     words = []
-    for n in map(operator.index, numbers):
-        if n < 0:
-            raise ValueError(f"expected non-negative integer, got {n}")
+    for n in numbers:
         words.append(n & _MASK32)
         while n := n >> 32:
             words.append(n & _MASK32)
@@ -441,8 +435,7 @@ class RoundStream:
         A 64-bit output gives two 32-bit draws, low half first; the high half
         waits for the next draw, across ``random`` calls.  k = 1 draws nothing.
         """
-        if not 1 <= k <= 1 << 32:
-            raise ValueError(f"k must lie in [1, 2**32], got {k}")
+        k = _check_count("k", k, 1, 1 << 32)
         if k == 1:
             return 0
         threshold = (1 << 32) % k
@@ -471,7 +464,9 @@ def round_rng(seed: int, round_index: int, stream: int) -> RoundStream:
     generator as the oracle).  So results are stable across platforms and
     numpy versions, and rounds can be parallelized without coordination.
     """
-    entropy = _entropy_words((seed, round_index, stream))
+    entropy = _entropy_words((_check_count("seed", seed, 0, None),
+                              _check_count("round_index", round_index, 0, None),
+                              _check_count("stream", stream, 0, None)))
     words = _hashed(entropy + [0, 0, 0], _POOL_HASHES) + entropy[4:]
     for src, dst, xor, multiplier in _mix_steps(len(entropy)):
         value = (words[src] ^ xor) * multiplier & _MASK32
@@ -524,15 +519,17 @@ def run_session(
     config: SessionConfig, message_bits: int | None, round_index: int
 ) -> SessionRecord:
     """Execute one full round (branch selection through decoding)."""
+    round_index = _check_count("round_index", round_index, 0, None)  # the record stores the int
     rng = round_rng(config.rng_seed, round_index, 0)
     if rng.random() < config.p_check:
         record = random_check_round(prepare_ghz(config.n_users), rng, config.n_users + 1)
         return SessionRecord(round_index, check=record)
     if message_bits is None:
         raise ValueError("message bits are required on an encoding round")
-    state = _honest_post_state(config.n_users, EncodingOp(message_bits), config.receiver_qubit)
+    op = EncodingOp(_check_count("message_bits", message_bits, 0, 3))
+    state = _honest_post_state(config.n_users, op, config.receiver_qubit)
     pair, signs = measure_decode(state, rng, config.receiver_qubit)
-    return SessionRecord(round_index, message_bits, pair, signs)
+    return SessionRecord(round_index, op.value, pair, signs)
 
 
 def run_rounds(

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from ghzdc import _check_count
 from ghzdc.adversary import attach_ancilla
 from ghzdc.cavity import CavityParams, FockSpace, PulseParams, effective_unitary
 from ghzdc.protocol import SIGNS, DecodeKey, EncodingOp, bob_interaction, encode, prepare_ghz
@@ -20,7 +21,6 @@ from ghzdc.qstate import (
     TOL_EQ,
     TOL_UNITARY,
     QuantumState,
-    _check_qubit,
     apply_two_qubit,
     outcome_distribution,
 )
@@ -84,7 +84,8 @@ def dense_hamiltonian(params: CavityParams, fock: FockSpace) -> np.ndarray:
 
 def born_probabilities(state, qubit: int, basis) -> tuple[float, float]:
     """Probabilities of the two outcomes of measuring one qubit in the basis."""
-    p0, p1 = outcome_distribution(state, [None] * _check_qubit(state, qubit) + [basis])
+    before = _check_count("qubit", qubit, 1, state.num_qubits) - 1
+    p0, p1 = outcome_distribution(state, [None] * before + [basis])
     return float(p0), float(p1)
 
 

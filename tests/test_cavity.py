@@ -393,7 +393,7 @@ class TestFullHamiltonian:
 
     def test_n_max_cap(self):
         assert FockSpace(MAX_FOCK).dimension == 4 * (MAX_FOCK + 1)  # constructing allocates nothing
-        with pytest.raises(ValueError, match=f"n_max must be <= {MAX_FOCK}"):
+        with pytest.raises(ValueError, match=f"^n_max must be 1..{MAX_FOCK}, got {MAX_FOCK + 1}$"):
             FockSpace(MAX_FOCK + 1)
 
     @pytest.mark.parametrize("n_max", [4, 8])

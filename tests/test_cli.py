@@ -7,7 +7,7 @@ import json
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ghzdc.cavity import CANONICAL_PULSE, MAX_FOCK, CavityParams, FockSpace, validate_effective_model
@@ -217,7 +217,7 @@ class TestSweeps:
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
-        assert "invalid configuration: n_max must be <= 400" in err
+        assert "invalid configuration: n_max must be 1..400, got 401" in err
 
     @pytest.mark.parametrize("flag", ["--lambda-t", "--omega-over-delta"])
     def test_unresolvable_pulse_exits_two(self, flag, capsys):
@@ -556,4 +556,61 @@ class TestArgvProperty:
             except SystemExit as exc:  # argparse's own exit on a rejected flag
                 code = exc.code
         assert code in (0, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
+# JSON values of every type: null, bools, small, huge and negative integers, floats with NaN and
+# the infinities, strings, and nested lists and objects.  Small integers stop at 16, so no
+# leaf turns into a costly count (--n-max 400 or --n-users 11 at --rounds 1000).
+JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 16), st.sampled_from([-(2**70), 2**70, 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6))
+JSON_VALUE = st.recursive(JSON_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+
+
+def json_value(key: str) -> st.SearchStrategy:
+    """A config-file value for one key: one of its type, counts capped as in CAPPED, or any JSON."""
+    default, options = FLAGS[key]
+    if key in ("rounds", "n_max"):
+        typed = CAPPED[key].map(int)
+    elif "metavar" in options:
+        typed = st.sampled_from(options["metavar"].strip("{}").split(",")).map(
+            lambda text: int(text) if text.isdigit() else text)
+    elif isinstance(default, list):
+        typed = st.lists(st.one_of(st.floats(-1.0, 100.0), JSON_LEAF), max_size=4)
+    elif isinstance(default, int):
+        typed = st.integers(-3, 20)
+    elif isinstance(default, float):
+        typed = st.floats(-0.5, 2.0)
+    else:  # out: a path, which the test roots in a temporary directory
+        typed = st.one_of(st.text(max_size=6), st.sampled_from(["", ".", "..", "a\x00b"]))
+    return st.one_of(typed, JSON_VALUE)
+
+
+class TestConfigFileProperty:
+    """Any config file whose cli.FLAGS keys hold JSON values of every type ends in exit 0 or 2
+    with no traceback.  A string ``out`` is a path under a temporary directory (at most 6
+    characters, so ``..`` cannot leave it), and writing there may also fail as I/O (exit 3).
+    Counts are drawn as in CAPPED, so the test runs in seconds."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(COMMANDS)),
+           values=st.fixed_dictionaries({}, optional={key: json_value(key) for key in FLAGS}))
+    @example(command="decode-table", values={"out": "a\x00b"})  # open() raises ValueError
+    def test_exits_zero_or_two(self, command, values, tmp_path, monkeypatch):
+        monkeypatch.delenv("GHZDC_CONFIG", raising=False)
+        root = tmp_path / "out" / "here"
+        root.mkdir(parents=True, exist_ok=True)
+        path_out = isinstance(values.get("out"), str) and values["out"] != "-"
+        if path_out:
+            values = values | {"out": f"{root}/{values['out']}"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg)])
+        assert code in ((0, 2, 3) if path_out else (0, 2)), (command, values, err.getvalue())
         assert "Traceback" not in err.getvalue()

@@ -488,7 +488,8 @@ class TestRoundStream:
 
     @pytest.mark.parametrize("triple", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
     def test_negative_entropy_raises(self, triple):
-        with pytest.raises(ValueError, match="non-negative"):
+        name = ("seed", "round_index", "stream")[triple.index(-1)]
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
             round_rng(*triple)
         with pytest.raises(ValueError):
             numpy_round_rng(*triple)

@@ -183,14 +183,15 @@ class TestApplyTwoQubit:
 
 class TestMeasurement:
     def test_outcome_stores_what_measure_computed(self):
-        """The qubit and basis are the caller's own arguments; the outcome holds the rest."""
-        assert [f.name for f in dataclasses.fields(MeasurementOutcome)] == ["result", "probability"]
+        """The qubit and basis are the caller's own arguments, and ``collapse`` gives the
+        probability; the outcome holds the result."""
+        assert [f.name for f in dataclasses.fields(MeasurementOutcome)] == ["result"]
 
     def test_eigenstate_is_deterministic(self):
         plus = QuantumState(np.array([SQ2, SQ2]))
         outcome, post = measure(plus, 1, PLUS_MINUS, 0.999999)
         assert outcome.result == 0
-        assert outcome.probability == pytest.approx(1.0, abs=1e-10)
+        assert collapse(plus, 1, PLUS_MINUS, 0)[0] == pytest.approx(1.0, abs=1e-10)
         assert allclose(post, plus)
 
     def test_ghz_marginal_is_uniform(self):
@@ -375,7 +376,7 @@ class TestKernelOracle:
     def test_collapse_and_both_measure_branches(self, case):
         _, state, qubit, basis = case
         n = state.num_qubits
-        p0 = measure(state, qubit, basis, 0.0)[0].probability
+        p0 = collapse(state, qubit, basis, 0)[0]
         for result in (0, 1):
             ket = basis.matrix()[result]
             branch = embed(n, {qubit: np.outer(ket, ket.conj())}) @ state.amplitudes
@@ -388,7 +389,7 @@ class TestKernelOracle:
             for rand in ((np.nextafter(p0, 0.0),) if result == 0 else (p0, np.nextafter(p0, 1.0))):
                 outcome, post = measure(state, qubit, basis, float(rand))
                 assert outcome.result == result
-                assert abs(outcome.probability - prob) <= 1e-12
+                assert np.array_equal(post.amplitudes, got.amplitudes)  # collapse's post-state
                 assert np.max(np.abs(post.amplitudes - expected)) <= 1e-12
 
     @KERNEL_ORACLE
