@@ -14,6 +14,10 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
 
 __version__ = "0.1.0"
 
+# The intercept-resend bases by name: ``adversary`` maps each to its basis, and the CLI's
+# --intercept-basis takes them without importing ``adversary``.
+INTERCEPT_BASIS_NAMES = ("computational", "x", "y")
+
 
 def _check_count(name: str, value, low: int, high: int | None) -> int:
     """The integer rule of every library entry: ``value`` as a plain ``int`` in low..high (no

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _check_count
+from . import INTERCEPT_BASIS_NAMES, _check_count
 from .protocol import (
     CHECK_BASES,
     DECODE_TABLE,
@@ -58,7 +58,7 @@ from .qstate import (
     outcome_distribution,
 )
 
-INTERCEPT_BASES = {"computational": COMPUTATIONAL, "x": PLUS_MINUS, "y": Y_BASIS}
+INTERCEPT_BASES = dict(zip(INTERCEPT_BASIS_NAMES, (COMPUTATIONAL, PLUS_MINUS, Y_BASIS)))
 
 # One rule per model parameter: returns the value to store, or raises ValueError naming it.
 PARAM_CHECKS = {
@@ -210,11 +210,10 @@ def ancilla_attack_tradeoff(theta: float) -> float:
 
 @dataclass(frozen=True, kw_only=True)
 class Strategy:
-    """What every adversary kind declares: its CLI ``--model`` flag, the
-    ``AdversaryModel`` fields it takes (each checked by ``PARAM_CHECKS``),
-    and ``report(model)``, the extra fields of its result row."""
+    """What every adversary kind declares: the ``AdversaryModel`` fields it
+    takes (each checked by ``PARAM_CHECKS``) and ``report(model)``, the extra
+    fields of its result row."""
 
-    flag: str
     params: tuple[str, ...] = ()
     report: Callable[[AdversaryModel], dict] = lambda model: {}
 
@@ -261,7 +260,7 @@ class CheckAttack(Strategy):
         return random_check_round(self.attacked_state(model, rng), rng, 3).violation
 
 
-def _report_cheat(flag: str, field: str, exclude_truth: bool) -> MessageStrategy:
+def _report_cheat(field: str, exclude_truth: bool) -> MessageStrategy:
     """A party replaces its ``field`` of the decode key by a uniformly random
     report (lies) or a uniformly random false one (flips); a hit is a wrong decode."""
     alphabet = PAIRS if field == "pair" else SIGNS
@@ -275,10 +274,10 @@ def _report_cheat(flag: str, field: str, exclude_truth: bool) -> MessageStrategy
             if not (exclude_truth and report == truth)
         )
 
-    return MessageStrategy(outcomes, flag=flag)
+    return MessageStrategy(outcomes)
 
 
-def _solo_guess(flag: str, field: str) -> MessageStrategy:
+def _solo_guess(field: str) -> MessageStrategy:
     """Guess the message from ``field`` of the decode key alone: the
     maximum-a-posteriori operation, ties going to the lowest bits."""
 
@@ -288,30 +287,28 @@ def _solo_guess(flag: str, field: str) -> MessageStrategy:
         return max(EncodingOp, key=lambda op: sum(
             p for key, p in decode_distribution(op).items() if getattr(key, field) == view))
 
-    return MessageStrategy(lambda op, key: (guess(getattr(key, field)) == op,), flag=flag)
+    return MessageStrategy(lambda op, key: (guess(getattr(key, field)) == op,))
 
 
 STRATEGIES: dict[str, MessageStrategy | CheckAttack] = {
-    "honest": MessageStrategy(lambda op, key: (DECODE_TABLE[key] != op,), flag="honest"),
-    "charlie_lies": _report_cheat("charlie-lies", "sign", exclude_truth=False),
-    "bob_lies": _report_cheat("bob-lies", "pair", exclude_truth=False),
-    "charlie_flips": _report_cheat("charlie-flips", "sign", exclude_truth=True),
-    "bob_flips": _report_cheat("bob-flips", "pair", exclude_truth=True),
-    "bob_alone_guess": _solo_guess("bob-guess", "pair"),
-    "charlie_alone_guess": _solo_guess("charlie-guess", "sign"),
+    "honest": MessageStrategy(lambda op, key: (DECODE_TABLE[key] != op,)),
+    "charlie_lies": _report_cheat("sign", exclude_truth=False),
+    "bob_lies": _report_cheat("pair", exclude_truth=False),
+    "charlie_flips": _report_cheat("sign", exclude_truth=True),
+    "bob_flips": _report_cheat("pair", exclude_truth=True),
+    "bob_alone_guess": _solo_guess("pair"),
+    "charlie_alone_guess": _solo_guess("sign"),
     "intercept_resend": CheckAttack(
         attacked_state=lambda model, rng: measure(
             prepare_ghz(2), model.target_qubit, INTERCEPT_BASES[model.intercept_basis], rng.random()
         )[1],
         exact=lambda model: intercept_resend_detection(model.target_qubit, model.intercept_basis),
-        flag="intercept-resend",
         params=("target_qubit", "intercept_basis"),
     ),
     "ancilla_attack": CheckAttack(
         # The analytic value needs no information_bits; ``report`` computes it once.
         attacked_state=lambda model, rng: attach_ancilla(prepare_ghz(2), model.theta),
         exact=lambda model: check_violation_rate(attach_ancilla(prepare_ghz(2), model.theta)),
-        flag="ancilla",
         params=("theta",),
         report=lambda model: {"information_bits": ancilla_attack_tradeoff(model.theta)},
     ),

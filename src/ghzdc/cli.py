@@ -24,10 +24,7 @@ import time
 
 import numpy as np
 
-from . import __version__
-from .adversary import INTERCEPT_BASES, STRATEGIES, AdversaryModel, monte_carlo_confirm
-from .cavity import CANONICAL_PULSE, CavityParams, FockSpace, PulseParams, validate_effective_model
-from .protocol import SessionConfig, decode_table, run_rounds, timing_error_fidelity
+from . import INTERCEPT_BASIS_NAMES, __version__, _check_count
 
 SCHEMA_VERSION = 2
 
@@ -38,8 +35,18 @@ SCHEMA_VERSION = 2
 MAX_GRID_POINTS = 10**5
 MAX_ROUNDS = 10**6
 
-# --model flag -> adversary kind.
-MODEL_FLAGS = {strategy.flag: kind for kind, strategy in STRATEGIES.items()}
+# --model flag -> adversary kind, a key of ``adversary.STRATEGIES``.
+MODEL_FLAGS = {
+    "honest": "honest",
+    "charlie-lies": "charlie_lies",
+    "bob-lies": "bob_lies",
+    "charlie-flips": "charlie_flips",
+    "bob-flips": "bob_flips",
+    "bob-guess": "bob_alone_guess",
+    "charlie-guess": "charlie_alone_guess",
+    "intercept-resend": "intercept_resend",
+    "ancilla": "ancilla_attack",
+}
 
 
 # Characters of a rejected value that an error message shows; longer values are cut.
@@ -125,7 +132,7 @@ FLAGS = {
     "receiver": ("bob", _one_of(("bob", "charlie"))),
     "model": ("honest", _one_of(sorted(MODEL_FLAGS))),
     "target_qubit": (2, _one_of((2, 3))),
-    "intercept_basis": ("computational", _one_of(sorted(INTERCEPT_BASES))),
+    "intercept_basis": ("computational", _one_of(sorted(INTERCEPT_BASIS_NAMES))),
     "theta": (math.pi / 4, {"type": _finite_float}),
     "delta_over_g": ([10.0, 20.0, 40.0], {"type": _float_list}),
     "omega_over_delta": (20.0, {"type": _real}),
@@ -200,14 +207,21 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return resolved
 
 
+# Each runner imports the layer it runs when it is called, so a subcommand loads only what it
+# runs (physics-sweep loads cavity alone), and it reads each function off its module at call
+# time, so a wrapper put on the module before ``main`` runs sees every call.
+
+
 def _run_session(cfg: dict) -> tuple[list[dict], list[str]]:
-    session = SessionConfig(
+    from . import protocol
+
+    session = protocol.SessionConfig(
         rng_seed=cfg["seed"],
         p_check=cfg["p_check"],
         n_users=cfg["n_users"],
         receiver=cfg["receiver"],
     )
-    rows = [r.to_json_dict() for r in run_rounds(session, cfg["rounds"], cfg["message"])]
+    rows = [r.to_json_dict() for r in protocol.run_rounds(session, cfg["rounds"], cfg["message"])]
     encode_rows = [r for r in rows if r["branch"] == "encode"]
     correct = sum(r["decoded_bits"] == r["message_bits"] for r in encode_rows)
     violations = sum(r["check"]["violation"] for r in rows if r["branch"] == "check")
@@ -220,10 +234,12 @@ def _run_session(cfg: dict) -> tuple[list[dict], list[str]]:
 
 
 def _run_adversary(cfg: dict) -> tuple[list[dict], list[str]]:
+    from . import adversary
+
     kind = MODEL_FLAGS[cfg["model"]]
-    strategy = STRATEGIES[kind]
-    model = AdversaryModel(kind, **{field: cfg[field] for field in strategy.params})
-    report = monte_carlo_confirm(model, cfg["rounds"], cfg["seed"])
+    strategy = adversary.STRATEGIES[kind]
+    model = adversary.AdversaryModel(kind, **{field: cfg[field] for field in strategy.params})
+    report = adversary.monte_carlo_confirm(model, cfg["rounds"], cfg["seed"])
     row = report.to_json_dict() | strategy.report(model)
     notes = [
         f"model={model.kind} analytic={report.analytic_success:.6f} "
@@ -233,16 +249,19 @@ def _run_adversary(cfg: dict) -> tuple[list[dict], list[str]]:
 
 
 def _run_physics_sweep(cfg: dict) -> tuple[list[dict], list[str]]:
-    pulse = PulseParams(lambda_t=cfg["lambda_t"], omega_t=CANONICAL_PULSE.omega_t)
+    from . import cavity
+
+    pulse = cavity.PulseParams(lambda_t=cfg["lambda_t"], omega_t=cavity.CANONICAL_PULSE.omega_t)
     omega_over_delta, n_max = cfg["omega_over_delta"], cfg["n_max"]
+    fock = cavity.FockSpace(n_max)
+    fock_index = _check_count("cavity_fock", cfg["cavity_fock"], 0, n_max)  # names the config key
     rows = [
         {
             "delta_over_g": ratio,
             "omega_over_delta": omega_over_delta,
             "n_max": n_max,
-            "error": validate_effective_model(
-                CavityParams.from_ratios(ratio, omega_over_delta), FockSpace(n_max), pulse,
-                cfg["cavity_fock"]),
+            "error": cavity.validate_effective_model(
+                cavity.CavityParams.from_ratios(ratio, omega_over_delta), fock, pulse, fock_index),
         }
         for ratio in cfg["delta_over_g"]
     ]
@@ -250,14 +269,18 @@ def _run_physics_sweep(cfg: dict) -> tuple[list[dict], list[str]]:
 
 
 def _run_timing_sweep(cfg: dict) -> tuple[list[dict], list[str]]:
+    from . import protocol
+
     rows = [
-        {"epsilon": float(eps), "fidelity": timing_error_fidelity(float(eps))}
+        {"epsilon": float(eps), "fidelity": protocol.timing_error_fidelity(float(eps))}
         for eps in cfg["epsilon_grid"]
     ]
     return rows, [f"points={len(rows)}"]
 
 
 def _run_decode_table(cfg: dict) -> tuple[list[dict], list[str]]:
+    from . import protocol
+
     rows = [
         {
             "pair": pair,
@@ -265,7 +288,7 @@ def _run_decode_table(cfg: dict) -> tuple[list[dict], list[str]]:
             "operation": op.name,
             "bits": format(op.value, "02b"),
         }
-        for pair, signs, op in decode_table(cfg["n_users"])
+        for pair, signs, op in protocol.decode_table(cfg["n_users"])
     ]
     return rows, [f"rows={len(rows)}"]
 

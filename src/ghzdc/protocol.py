@@ -99,6 +99,8 @@ def encode(state: QuantumState, op: EncodingOp) -> QuantumState:
     """Apply Alice's operation to qubit 1 of a resource register of 3 or more qubits."""
     if state.num_qubits < 3:
         raise ValueError(f"encode expects at least 3 qubits, got {state.num_qubits}")
+    if not isinstance(op, EncodingOp):
+        raise ValueError(f"op must be an EncodingOp, got {op!r}")
     return apply_gate(state, _ENCODING_MATRICES[op], 1)
 
 
@@ -160,18 +162,27 @@ DECODE_TABLE: dict[DecodeKey, EncodingOp] = {
 }
 
 
+def _check_labels(name: str, values, labels) -> tuple[str, ...]:
+    """The label rule: ``values`` as a non-empty tuple of entries of ``labels``.  Anything else,
+    a value that is not iterable or an entry that is not a label, raises ``ValueError`` naming
+    ``name``."""
+    try:
+        entries = tuple(values)
+        ok = entries and all(map(labels.__contains__, entries))
+    except TypeError:  # not iterable, or an unhashable entry tested against a dict's keys
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a non-empty sequence of {tuple(labels)}, got {values!r}")
+    return entries
+
+
 def decode(pair: str, signs) -> EncodingOp:
     """Alice's operation from the receiver's pair and the other parties' sign reports.
 
     The parity of the '-' reports plays the sign role, so one report is the
     three-party rule and any number of users decodes through ``DECODE_TABLE``.
     """
-    signs = tuple(signs)
-    if not signs:
-        raise ValueError("at least one sign report is required")
-    for s in signs:
-        if s not in SIGNS:
-            raise ValueError(f"sign reports must be '+' or '-', got {s!r}")
+    signs = _check_labels("signs", signs, SIGNS)
     return DECODE_TABLE[DecodeKey(pair, SIGNS[signs.count("-") % 2])]
 
 
@@ -266,16 +277,12 @@ def security_check_round(state: QuantumState, bases, rands) -> CheckRecord:
     outcome parity against the parity expected of the honest resource state,
     and only basis combinations in the accept set can register a violation.
     """
-    bases = tuple(bases)
-    rands = tuple(rands)
+    bases = _check_labels("bases", bases, CHECK_BASES)
     n_parties = len(bases)
     if n_parties < 3 or n_parties > state.num_qubits:
         raise ValueError("need one basis per party and at least three parties")
-    if len(rands) != n_parties:
-        raise ValueError("need exactly one uniform draw per party")
-    for b in bases:
-        if b not in CHECK_BASES:
-            raise ValueError(f"check bases must be 'X' or 'Y', got {b!r}")
+    if not (hasattr(rands, "__len__") and len(rands) == n_parties):
+        raise ValueError(f"rands must hold one uniform draw per party, got {rands!r}")
     results = _measure_chain(state, range(1, n_parties + 1), map(CHECK_BASES.get, bases), rands)
     return CheckRecord(bases, tuple(results))
 
@@ -503,6 +510,7 @@ def random_check_round(state: QuantumState, rng: RoundStream, n_parties: int) ->
 
     The replay rule fixes the draw order: all bases first, then one uniform per party.
     """
+    n_parties = _check_count("n_parties", n_parties, 3, state.num_qubits)
     bases = ["XY"[rng.integers(2)] for _ in range(n_parties)]
     rands = [rng.random() for _ in range(n_parties)]
     return security_check_round(state, bases, rands)

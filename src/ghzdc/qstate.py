@@ -131,7 +131,11 @@ def apply_gate(state: QuantumState, gate, qubit: int) -> QuantumState:
 
 def apply_two_qubit(state: QuantumState, unitary, qubits: tuple[int, int]) -> QuantumState:
     """Apply a 4x4 unitary to the ordered qubit pair (1-based indices)."""
-    axa, axb = (_check_count("qubit", q, 1, state.num_qubits) - 1 for q in qubits)
+    try:
+        qa, qb = qubits
+    except (TypeError, ValueError):
+        raise ValueError(f"qubits must be a pair of qubit indices, got {qubits!r}") from None
+    axa, axb = (_check_count("qubit", q, 1, state.num_qubits) - 1 for q in (qa, qb))
     if axa == axb:
         raise ValueError("two-qubit unitary needs distinct qubits")
     u = _check_unitary(unitary, 4).reshape(2, 2, 2, 2)  # (out_a, out_b, in_a, in_b)

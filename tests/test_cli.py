@@ -4,12 +4,17 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import ghzdc
 from ghzdc.cavity import CANONICAL_PULSE, MAX_FOCK, CavityParams, FockSpace, validate_effective_model
 from ghzdc.cli import COMMANDS, COMMON, FLAGS, MAX_GRID_POINTS, MAX_ROUNDS, build_parser, main
 
@@ -217,6 +222,25 @@ class TestSweeps:
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
+        assert "invalid configuration: n_max must be 1..400, got 401" in err
+
+    @pytest.mark.parametrize("use_file", [False, True])
+    def test_cavity_fock_above_n_max_names_its_key(self, use_file, capsys, tmp_path):
+        argv = ["physics-sweep", "--delta-over-g", "10", "--n-max", "4"]
+        if use_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"cavity_fock": 9}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--cavity-fock", "9"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "invalid configuration: cavity_fock must be 0..4, got 9" in err
+
+    def test_cavity_fock_checked_after_n_max(self, capsys):
+        code, _, err = run_cli(["physics-sweep", "--n-max", "401", "--cavity-fock", "500"], capsys)
+        assert code == 2
         assert "invalid configuration: n_max must be 1..400, got 401" in err
 
     @pytest.mark.parametrize("flag", ["--lambda-t", "--omega-over-delta"])
@@ -614,3 +638,45 @@ class TestConfigFileProperty:
             code = main([command, "--config", str(cfg)])
         assert code in ((0, 2, 3) if path_out else (0, 2)), (command, values, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+class TestImportFootprint:
+    """Each subcommand loads only the layer it runs; ``import ghzdc.cli`` loads numpy for its grids."""
+
+    PROTOCOL_STACK = {"ghzdc.protocol", "ghzdc.qstate", "ghzdc.adversary", "fractions"}
+
+    @staticmethod
+    def loaded_after(argv: list[str]) -> set[str]:
+        env = dict(os.environ)
+        src = str(Path(ghzdc.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("GHZDC_CONFIG", None)
+        code = ("import json, sys, ghzdc.cli; "
+                "code = ghzdc.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
+                "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        exit_code, modules = json.loads(proc.stderr.splitlines()[-1])
+        assert exit_code == 0
+        return set(modules)
+
+    def test_cli_import_loads_numpy(self):
+        loaded = self.loaded_after([])
+        assert "numpy" in loaded
+        assert not loaded & (self.PROTOCOL_STACK | {"ghzdc.cavity"})
+
+    def test_physics_sweep_loads_cavity_alone(self):
+        argv = ["physics-sweep", "--delta-over-g", "40", "--n-max", "4", "--out", os.devnull]
+        loaded = self.loaded_after(argv)
+        assert "ghzdc.cavity" in loaded
+        assert not loaded & self.PROTOCOL_STACK
+
+    @pytest.mark.parametrize("argv", [
+        ["session", "--rounds", "20", "--p-check", "0.5"],
+        ["timing-sweep", "--epsilon-grid", "0,0.01"],
+        ["decode-table"],
+    ])
+    def test_protocol_commands_leave_adversary_unloaded(self, argv):
+        loaded = self.loaded_after([*argv, "--out", os.devnull])
+        assert "ghzdc.protocol" in loaded
+        assert "ghzdc.adversary" not in loaded

@@ -3,7 +3,7 @@
 The property test draws, derandomized, the scalar arguments of each public constructor and
 entry: values in type, out of type (``str``, ``bool``, a ``float`` where an integer is expected,
 ``complex``, ``list``, ``None``), on the bounds and non-finite.  Arguments that are objects of
-the package (a state, a basis, a session config, a parameter record) are built valid by their
+the package (a state, a basis, a round stream, a session config, a parameter record) are built valid by their
 own constructors, which the test draws as entries in their own right.  Counts are drawn no
 larger than 10**3 and ``n_max`` no larger than 16, so the test runs in seconds; the long run at
 the CLI's ``MAX_ROUNDS`` is a long run by design, not a stall.
@@ -27,13 +27,21 @@ from ghzdc.cavity import (
     validate_effective_model,
 )
 from ghzdc.protocol import (
+    PAIRS,
+    SIGNS,
+    EncodingOp,
     SessionConfig,
+    bob_interaction,
+    decode,
     decode_table,
+    encode,
     parity_accept_set,
     prepare_ghz,
+    random_check_round,
     round_rng,
     run_rounds,
     run_session,
+    security_check_round,
     timing_error_fidelity,
 )
 from ghzdc.qstate import COMPUTATIONAL, PLUS_MINUS, Y_BASIS, apply_two_qubit, collapse, measure
@@ -58,6 +66,14 @@ def count(low: int, high: int) -> st.SearchStrategy:
 
 SEED = st.one_of(count(0, 10**3), st.just(2**70))  # a seed or an index costs no more when huge
 BASIS = st.sampled_from([COMPUTATIONAL, PLUS_MINUS, Y_BASIS])
+ROUND_STREAM = st.builds(round_rng, st.integers(0, 10), st.integers(0, 10), st.integers(0, 1))
+
+
+def labels(alphabet: str) -> st.SearchStrategy:
+    """A sequence of up to five labels, some out of ``alphabet``, as a list or a string, or an odd value."""
+    entry = st.one_of(st.sampled_from(list(alphabet)), st.sampled_from(["Z", "", "+-"]), ODD)
+    return st.one_of(st.lists(entry, max_size=5), st.text(alphabet + "Z", max_size=5), ODD)
+
 
 # Entry -> (callable, one strategy per positional argument).
 ENTRIES = {
@@ -95,6 +111,13 @@ ENTRIES = {
         st.builds(FockSpace, st.integers(1, 16)),
         st.builds(PulseParams, st.floats(0.0, 2.0), st.floats(0.0, 4.0)),
         st.one_of(count(0, 16), st.lists(REAL, max_size=4)))),
+    "decode": (decode, (st.one_of(st.sampled_from(PAIRS), ODD), labels("+-"))),
+    "encode": (encode, (st.just(GHZ), st.one_of(st.sampled_from(EncodingOp), ODD))),
+    "bob_interaction": (bob_interaction, (
+        st.just(GHZ), st.one_of(st.tuples(count(1, 3), count(1, 3)), st.lists(count(1, 3)), ODD))),
+    "random_check_round": (random_check_round, (st.just(GHZ), ROUND_STREAM, count(3, 3))),
+    "security_check_round": (security_check_round, (
+        st.just(GHZ), labels("XY"), st.one_of(st.lists(REAL, max_size=4), ODD))),
     "measure": (measure, (st.just(GHZ), count(1, 3), BASIS, REAL)),
     "collapse": (collapse, (st.just(GHZ), count(1, 3), BASIS, count(0, 1))),
 }
@@ -131,6 +154,12 @@ class TestEntryProperty:
     @example(("AdversaryModel", ("ancilla_attack", None, None, 1j)))
     @example(("AdversaryModel", ("ancilla_attack", None, None, [0.3])))
     @example(("prepare_ghz", ([2],)))
+    @example(("decode", ("ee", 5)))
+    @example(("encode", (GHZ, 1)))
+    @example(("random_check_round", (GHZ, round_rng(1, 0, 0), 2.5)))
+    @example(("bob_interaction", (GHZ, 5)))
+    @example(("security_check_round", (GHZ, "XXY", 0.5)))
+    @example(("security_check_round", (GHZ, [[2], "X", "Y"], [0.1, 0.2, 0.3])))
     def test_result_or_value_error(self, case):
         name, args = case
         entry, _ = ENTRIES[name]
@@ -160,6 +189,17 @@ REFUSED = {
     "fock-index-9": (lambda: validate_effective_model(CAVITY, FockSpace(8), CANONICAL_PULSE, 9),
                      "initial_cavity"),
     "message-bits-1.0": (lambda: run_session(CONFIG, 1.0, 0), "message_bits"),
+    "check-round-parties-2.5": (lambda: random_check_round(GHZ, round_rng(1, 0, 0), 2.5), "n_parties"),
+}
+
+# Entries that took a value of the wrong type or shape and ended in TypeError or KeyError.
+MISSHAPEN = {
+    "decode-signs-5": (lambda: decode("ee", 5), "signs"),
+    "decode-signs-unhashable": (lambda: decode("ee", [["+"]]), "signs"),
+    "encode-op-1": (lambda: encode(GHZ, 1), "op"),
+    "bob-interaction-qubits-5": (lambda: bob_interaction(GHZ, 5), "qubits"),
+    "check-round-rands-0.5": (lambda: security_check_round(GHZ, "XXY", 0.5), "rands"),
+    "check-round-bases-none": (lambda: security_check_round(GHZ, None, [0.1, 0.2, 0.3]), "bases"),
 }
 
 
@@ -202,3 +242,12 @@ class TestOneIntegerRule:
             prepare_ghz(2.0)  # not a cache hit on 2, whatever the cache holds
         with pytest.raises(ValueError, match="^n_parties must be an integer"):
             parity_accept_set([3])
+
+
+class TestShapeRules:
+    """A sequence, pair or operation of the wrong type or shape raises ``ValueError`` naming it."""
+
+    @pytest.mark.parametrize("call,name", MISSHAPEN.values(), ids=MISSHAPEN.keys())
+    def test_misshapen_value_refused_naming_it(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call()
