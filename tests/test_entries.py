@@ -3,10 +3,10 @@
 The property test draws, derandomized, the scalar arguments of each public constructor and
 entry: values in type, out of type (``str``, ``bool``, a ``float`` where an integer is expected,
 ``complex``, ``list``, ``None``), on the bounds and non-finite.  Arguments that are objects of
-the package (a state, a basis, a round stream, a session config, a parameter record) are built valid by their
-own constructors, which the test draws as entries in their own right.  Counts are drawn no
-larger than 10**3 and ``n_max`` no larger than 16, so the test runs in seconds; the long run at
-the CLI's ``MAX_ROUNDS`` is a long run by design, not a stall.
+the package (a state, a basis, a round stream, a session config, a parameter record) are built
+valid by their own constructors, which the test draws as entries in their own right.  Counts
+are drawn no larger than 10**3 and ``n_max`` no larger than 16, so the test runs in seconds;
+the long run at the CLI's ``MAX_ROUNDS`` is a long run by design, not a stall.
 """
 
 import math
@@ -192,7 +192,7 @@ REFUSED = {
     "check-round-parties-2.5": (lambda: random_check_round(GHZ, round_rng(1, 0, 0), 2.5), "n_parties"),
 }
 
-# Entries that took a value of the wrong type or shape and ended in TypeError or KeyError.
+# A value of the wrong type or shape, and the name its refusal gives.
 MISSHAPEN = {
     "decode-signs-5": (lambda: decode("ee", 5), "signs"),
     "decode-signs-unhashable": (lambda: decode("ee", [["+"]]), "signs"),
