@@ -18,6 +18,12 @@ __version__ = "0.1.0"
 # --intercept-basis takes them without importing ``adversary``.
 INTERCEPT_BASIS_NAMES = ("computational", "x", "y")
 
+# Bounds that the library checks and the CLI's flags state in their own words: the most
+# users a session holds (its state vector has 2^(n+1) amplitudes), and the fewest adversary
+# Monte Carlo rounds that give a meaningful estimate.
+MAX_USERS = 11
+MIN_ADVERSARY_ROUNDS = 100
+
 
 def _check_count(name: str, value, low: int, high: int | None) -> int:
     """The integer rule of every library entry: ``value`` as a plain ``int`` in low..high (no

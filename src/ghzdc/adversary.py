@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import INTERCEPT_BASIS_NAMES, _check_count
+from . import INTERCEPT_BASIS_NAMES, MIN_ADVERSARY_ROUNDS, _check_count
 from .protocol import (
     CHECK_BASES,
     DECODE_TABLE,
@@ -173,6 +173,19 @@ def attach_ancilla(state: QuantumState, theta: float, /) -> QuantumState:
     return apply_two_qubit(attacked, _controlled_rotation(theta), (2, attacked.num_qubits))
 
 
+def _eigenvalues_2x2(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian 2x2 blocks, shape (..., 2, 2) -> (..., 2).
+
+    The larger root is (a+d)/2 + hypot((a-d)/2, |b|) and the smaller det/larger, so a
+    small root keeps its relative precision and a singular block's exact zero stays
+    exact; no LAPACK call is needed for a 2x2 spectrum.
+    """
+    a, d, b = blocks[..., 0, 0].real, blocks[..., 1, 1].real, np.abs(blocks[..., 0, 1])
+    larger = (a + d) / 2 + np.hypot((a - d) / 2, b)
+    smaller = np.divide(a * d - b * b, larger, out=np.zeros_like(larger), where=larger != 0.0)
+    return np.stack((smaller, larger), axis=-1)
+
+
 def _entropy_bits(eigenvalues: np.ndarray) -> float:
     """-sum p log2 p over the positive entries; zeros and round-off negatives add 0."""
     p = eigenvalues[eigenvalues > 0.0]
@@ -199,8 +212,8 @@ def ancilla_attack_tradeoff(theta: float) -> float:
     # Sub-normalized ancilla density matrix per decode key, keys in (q1, q2, sign) order.
     rhos = (rotated[..., :, None] * rotated[..., None, :].conj()).reshape(8, 2, 2)
     weights = np.real(np.trace(rhos, axis1=1, axis2=2))
-    return (_entropy_bits(np.linalg.eigvalsh(rhos.sum(axis=0))) + _entropy_bits(weights)
-            - _entropy_bits(np.linalg.eigvalsh(rhos)))
+    return (_entropy_bits(_eigenvalues_2x2(rhos.sum(axis=0))) + _entropy_bits(weights)
+            - _entropy_bits(_eigenvalues_2x2(rhos)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +373,7 @@ def analytic_success(model: AdversaryModel) -> Fraction | float:
 
 def monte_carlo_confirm(model: AdversaryModel, rounds: int, seed: int) -> CheatReport:
     """Seeded empirical estimate of the model's success/detection frequency."""
-    _check_count("rounds", rounds, 100, None)  # fewer give no meaningful estimate
+    _check_count("rounds", rounds, MIN_ADVERSARY_ROUNDS, None)
     _check_count("seed", seed, 0, None)
     analytic = float(analytic_success(model))
     strategy = STRATEGIES[model.kind]

@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from . import INTERCEPT_BASIS_NAMES, __version__, _check_count
+from . import INTERCEPT_BASIS_NAMES, MAX_USERS, MIN_ADVERSARY_ROUNDS, __version__, _check_count
 
 SCHEMA_VERSION = 2
 
@@ -99,9 +99,13 @@ def _grid(text: str) -> list[float]:
     return _numbers(text)
 
 
+def _count(low: int, high: int):
+    """A flag type for an integer in [low, high]."""
+    return _flag_type(int, "an integer", lambda v: low <= v <= high, f"lie in [{low}, {high}]")
+
+
 _integer = _flag_type(int, "an integer")
 _non_negative_int = _flag_type(int, "an integer", lambda v: v >= 0, "be >= 0")
-_rounds = _flag_type(int, "an integer", lambda v: 1 <= v <= MAX_ROUNDS, f"lie in [1, {MAX_ROUNDS}]")
 _real = _flag_type(float, "a number")
 _finite_float = _flag_type(float, "a number", math.isfinite, "be finite")
 _probability = _flag_type(float, "a number", lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
@@ -124,9 +128,9 @@ FLAGS = {
     "seed": (0, {"type": _non_negative_int}),
     "out": ("-", {"help": "output path, '-' for stdout"}),
     "format": ("json", _one_of(("json", "csv"))),
-    "rounds": (1000, {"type": _rounds}),
+    "rounds": (1000, {"type": _count(1, MAX_ROUNDS)}),
     "p_check": (0.1, {"type": _probability}),
-    "n_users": (2, {"type": _integer}),
+    "n_users": (2, {"type": _count(2, MAX_USERS)}),
     "message": (None, _one_of(range(4))
                 | {"help": "fix the 2-bit message; random per round when absent"}),
     "receiver": ("bob", _one_of(("bob", "charlie"))),
@@ -157,6 +161,16 @@ COMMANDS = {
     "decode-table": ("print the decoding map", ("n_users",)),
 }
 
+# (subcommand, config key) -> the options that replace the key's FLAGS entry for that subcommand.
+COMMAND_FLAGS = {
+    ("adversary", "rounds"): {"type": _count(MIN_ADVERSARY_ROUNDS, MAX_ROUNDS)},
+}
+
+
+def _options(command: str, key: str) -> dict:
+    """The add_argument options of a config key's flag on a subcommand."""
+    return COMMAND_FLAGS.get((command, key), FLAGS[key][1])
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ghzdc", description=__doc__.split("\n")[0])
@@ -165,17 +179,17 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with defaults (GHZDC_CONFIG also honored)")
         for key in dict.fromkeys((*COMMON, *echoed)):
-            p.add_argument("--" + key.replace("_", "-"), default=None, **FLAGS[key][1])
+            p.add_argument("--" + key.replace("_", "-"), default=None, **_options(command, key))
     return parser
 
 
-def _file_value(key: str, raw):
-    """Parse a config-file value as its flag parses the same command-line text.
+def _file_value(command: str, key: str, raw):
+    """Parse a config-file value as the subcommand's flag parses the same command-line text.
 
     Text flags, those with a text default, take a JSON string; the others a JSON
     number, or a list for list flags.
     """
-    default, options = FLAGS[key]
+    default, options = FLAGS[key][0], _options(command, key)
     if isinstance(raw, str) != isinstance(default, str):
         raise ValueError(f"config key {key!r}: {_shown(raw)} has the wrong JSON type")
     text = ",".join(map(str, raw)) if isinstance(raw, list) else str(raw)
@@ -199,7 +213,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if key not in FLAGS:
             raise ValueError(f"unknown config key {_shown(key)} (keys are flag names with '-' as '_')")
         if raw is not None:
-            resolved[key] = _file_value(key, raw)
+            resolved[key] = _file_value(args.command, key, raw)
     for key in FLAGS:
         if getattr(args, key, None) is not None:
             resolved[key] = getattr(args, key)

@@ -30,7 +30,7 @@ from itertools import chain, product, repeat
 
 import numpy as np
 
-from . import _check_count, qstate
+from . import MAX_USERS, _check_count, qstate
 from .cavity import CANONICAL_PULSE, effective_unitary
 from .qstate import (
     COMPUTATIONAL,
@@ -42,8 +42,6 @@ from .qstate import (
     apply_two_qubit,
     measure,
 )
-
-MAX_USERS = 11
 
 
 class Role(str, enum.Enum):

@@ -67,6 +67,11 @@ class QuantumState:
         return obj
 
 
+def _identity_error(matrix: np.ndarray) -> float:
+    """Largest entry of |M M^dagger - I|.  ``einsum`` keeps the check off BLAS's GEMM."""
+    return np.abs(np.einsum("ij,kj->ik", matrix, matrix.conj()) - np.eye(len(matrix))).max()
+
+
 @dataclass(frozen=True)
 class MeasurementBasis:
     """Single-qubit orthonormal measurement basis.
@@ -80,7 +85,7 @@ class MeasurementBasis:
 
     def __post_init__(self):
         m = np.array(self.eigenvectors, dtype=complex)
-        if np.max(np.abs(m @ m.conj().T - np.eye(2))) > TOL_EQ:
+        if _identity_error(m) > TOL_EQ:
             raise ValueError(f"basis {self.name!r} eigenvectors are not orthonormal")
         m.setflags(write=False)
         object.__setattr__(self, "_matrix", m)
@@ -112,7 +117,7 @@ def _check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {matrix.shape}")
-    if np.abs(matrix @ matrix.conj().T - np.eye(dim)).max() > TOL_UNITARY:
+    if _identity_error(matrix) > TOL_UNITARY:
         raise ValueError("matrix is not unitary within tolerance")
     return matrix
 
@@ -122,11 +127,20 @@ def _view(amps: np.ndarray, axis: int) -> np.ndarray:
     return amps.reshape(1 << axis, 2, -1)
 
 
+def _rotated(gate: np.ndarray, amps: np.ndarray, axis: int) -> np.ndarray:
+    """``gate`` applied to qubit axis+1 of ``amps``, shape (before, 2, after).
+
+    ``np.dot`` of a 2-D gate with the 3-D view takes numpy's dot-product loop, not
+    ``@``'s GEMM: a 2x2 product does not need OpenBLAS's GEMM set-up and its memory.
+    """
+    return np.dot(gate, _view(amps, axis)).swapaxes(0, 1)
+
+
 def apply_gate(state: QuantumState, gate, qubit: int) -> QuantumState:
     """Apply a single-qubit unitary to the given qubit (1-based)."""
     axis = _check_count("qubit", qubit, 1, state.num_qubits) - 1  # qubits before this one
     gate = _check_unitary(gate, 2)
-    return QuantumState._from_trusted((gate @ _view(state.amplitudes, axis)).reshape(-1))
+    return QuantumState._from_trusted(_rotated(gate, state.amplitudes, axis).reshape(-1))
 
 
 def apply_two_qubit(state: QuantumState, unitary, qubits: tuple[int, int]) -> QuantumState:
@@ -158,7 +172,7 @@ def basis_amplitudes(state: QuantumState, bases) -> np.ndarray:
     amps = state.amplitudes
     for axis, basis in enumerate(bases):
         if basis is not None:
-            amps = basis.rotation_gate() @ _view(amps, axis)
+            amps = _rotated(basis.rotation_gate(), amps, axis)
     return amps.reshape((2,) * n)
 
 
@@ -179,7 +193,7 @@ def _branches(state: QuantumState, axis: int, basis: MeasurementBasis):
     ``branch[:, r, :]`` is the unnormalized amplitude of the other qubits
     given result r, so its squared norm is the Born probability of r.
     """
-    branch = basis.rotation_gate() @ _view(state.amplitudes, axis)
+    branch = _rotated(basis.rotation_gate(), state.amplitudes, axis)
     return branch, (np.abs(branch) ** 2).sum(axis=(0, 2)).tolist()
 
 

@@ -1,7 +1,7 @@
 """Test-only references: the paper's two atom-pair generators, the dense atoms (x)
 cavity generator, single-qubit Born probabilities, the Born-rule enumeration of a
-message round, the ancilla attack's Holevo chi, fine-grid information and
-eigenbasis readout, the timing error by simulation, basis states by label, state
+message round, the ancilla attack's Holevo chi, its Holevo quantity from LAPACK
+spectra, fine-grid information and eigenbasis readout, the timing error by simulation, basis states by label, state
 comparisons (norm, fidelity, entrywise and up to a global phase), and numpy's generator
 for the per-round streams."""
 
@@ -22,6 +22,7 @@ from ghzdc.qstate import (
     TOL_UNITARY,
     QuantumState,
     apply_two_qubit,
+    basis_amplitudes,
     outcome_distribution,
 )
 
@@ -109,13 +110,28 @@ def ancilla_ensemble(theta: float) -> np.ndarray:
     return np.einsum("st,abtc->absc", hadamard, amps).reshape(8, 2)
 
 
+def _entropy_bits(eigenvalues: np.ndarray) -> float:
+    """-sum p log2 p over the positive entries."""
+    p = eigenvalues[eigenvalues > 0.0]
+    return float(-(p * np.log2(p)).sum())
+
+
 def holevo_chi(theta: float) -> float:
     """Holevo chi (bits) of the ancilla ensemble: its states are pure, so chi is the
     entropy of their mixture, the ancilla's reduced state."""
     kets = ancilla_ensemble(theta)
-    eigenvalues = np.linalg.eigvalsh(kets.T @ kets.conj())
-    eigenvalues = eigenvalues[eigenvalues > 0.0]
-    return float(-(eigenvalues * np.log2(eigenvalues)).sum())
+    return _entropy_bits(np.linalg.eigvalsh(kets.T @ kets.conj()))
+
+
+def holevo_by_eigvalsh(theta: float) -> float:
+    """``adversary.ancilla_attack_tradeoff`` with every 2x2 spectrum from LAPACK's ``eigvalsh``:
+    H(eig sum_k rho_k) + H(w) - H(eig rho_k) over the same sub-normalized rho_k per decode key."""
+    evolved = bob_interaction(attach_ancilla(prepare_ghz(2), theta), (1, 2))
+    rotated = basis_amplitudes(evolved, (None, None, PLUS_MINUS))  # (q1, q2, sign, anc)
+    rhos = (rotated[..., :, None] * rotated[..., None, :].conj()).reshape(8, 2, 2)
+    weights = np.real(np.trace(rhos, axis1=1, axis2=2))
+    return (_entropy_bits(np.linalg.eigvalsh(rhos.sum(axis=0))) + _entropy_bits(weights)
+            - _entropy_bits(np.linalg.eigvalsh(rhos)))
 
 
 def fine_grid_information(theta: float) -> float:

@@ -53,6 +53,7 @@ from oracles import (
     born_decode_distribution,
     eigenbasis_readout_information,
     fine_grid_information,
+    holevo_by_eigvalsh,
     holevo_chi,
     norm,
 )
@@ -261,6 +262,13 @@ class TestAncillaClosedForms:
         """The reported value is the Holevo quantity itself: h2(sin^2(theta/2)), neither above nor below."""
         for theta in THETAS_41:
             assert abs(ancilla_attack_tradeoff(theta) - h2_of(theta)) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-6, 1e-3, 0.3, math.pi / 4, 0.7854, 1.2, math.pi / 2])
+    def test_closed_form_spectra_match_eigvalsh(self, theta):
+        """The 2x2 spectra in closed form give LAPACK's value to 1e-13 relative.  At theta 1e-6
+        the leak is ~1e-11 bits, so a smaller root taken as mid - half, 8e-5 off there, fails."""
+        expected = holevo_by_eigvalsh(theta)
+        assert abs(ancilla_attack_tradeoff(theta) - expected) <= 1e-13 * abs(expected)
 
     def test_eigenbasis_readout_reaches_information_bits(self):
         """One projective readout learns the reported value, so it is the accessible

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -280,9 +281,10 @@ class TestDecodeTable:
             assert decode(row["pair"], row["signs"]).name == row["operation"]
 
     def test_out_of_range(self, capsys):
-        code, _, err = run_cli(["decode-table", "--n-users", "20"], capsys)
-        assert code == 2
-        assert "invalid configuration" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["decode-table", "--n-users", "20"])
+        assert exc.value.code == 2
+        assert "argument --n-users: must lie in [2, 11], got '20'" in capsys.readouterr().err
 
 
 class TestFlagErrors:
@@ -293,6 +295,11 @@ class TestFlagErrors:
         ("session", "rounds", "2.5", 2.5, "must be an integer"),
         ("session", "rounds", "1000001", MAX_ROUNDS + 1, "must lie in [1, 1000000]"),
         ("session", "n_users", "2.5", 2.5, "must be an integer"),
+        # Ranges the library checks too, stated in the flag's own words before any work.
+        ("session", "n_users", "12", 12, "must lie in [2, 11]"),
+        ("decode-table", "n_users", "1", 1, "must lie in [2, 11]"),
+        ("adversary", "rounds", "50", 50, "must lie in [100, 1000000]"),
+        ("adversary", "rounds", "1000001", MAX_ROUNDS + 1, "must lie in [100, 1000000]"),
         ("session", "p_check", "2", 2, "must lie in [0, 1]"),
         ("adversary", "theta", "True", True, "must be a number"),
         ("physics-sweep", "delta_over_g", "1,a", [1, "a"], "must be a comma-separated list"),
@@ -359,6 +366,11 @@ class TestFlagErrors:
     def test_bounds_are_inclusive(self):
         # Parse only: running this many rounds or grid points would take about a minute.
         assert build_parser().parse_args(["session", f"--rounds={MAX_ROUNDS}"]).rounds == MAX_ROUNDS
+        assert build_parser().parse_args(["session", "--rounds=1"]).rounds == 1
+        assert build_parser().parse_args(["adversary", "--rounds=100"]).rounds == 100
+        assert build_parser().parse_args(["adversary", f"--rounds={MAX_ROUNDS}"]).rounds == MAX_ROUNDS
+        for n_users in (2, 11):
+            assert build_parser().parse_args(["decode-table", f"--n-users={n_users}"]).n_users == n_users
         args = build_parser().parse_args(["timing-sweep", f"--epsilon-grid=0:1:{MAX_GRID_POINTS}"])
         assert len(args.epsilon_grid) == MAX_GRID_POINTS
         longest = ",".join(["0.5"] * MAX_GRID_POINTS)
@@ -680,3 +692,49 @@ class TestImportFootprint:
         loaded = self.loaded_after([*argv, "--out", os.devnull])
         assert "ghzdc.protocol" in loaded
         assert "ghzdc.adversary" not in loaded
+
+
+class TestLapackFootprint:
+    """Only physics-sweep reaches LAPACK: every other subcommand runs to exit 0 with
+    numpy.linalg's eigen, solve and decomposition entries patched to raise."""
+
+    ENTRIES = ("eig", "eigh", "eigvals", "eigvalsh", "solve", "lstsq", "inv", "pinv", "tensorsolve",
+               "tensorinv", "svd", "qr", "cholesky", "det", "slogdet", "matrix_rank")
+
+    @pytest.fixture
+    def lapack_calls(self, monkeypatch) -> list[str]:
+        from ghzdc import adversary, cavity, protocol
+
+        # A cached builder filled by an earlier test would hide a call; start with every cache empty.
+        for module in (cavity, protocol, adversary):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        calls = []
+
+        def refusing(name):
+            def refuse(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"numpy.linalg.{name} called")
+            return refuse
+
+        for name in self.ENTRIES:
+            monkeypatch.setattr(np.linalg, name, refusing(name))
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["session", "--rounds", "50", "--p-check", "0.5"],
+        ["adversary", "--model", "bob-lies", "--rounds", "100"],
+        ["adversary", "--model", "intercept-resend", "--rounds", "100"],
+        ["adversary", "--model", "ancilla", "--theta", "0.7854", "--rounds", "100"],
+        ["decode-table"],
+        ["timing-sweep"],
+    ])
+    def test_protocol_commands_run_without_lapack(self, argv, lapack_calls, capsys):
+        code, _, err = run_cli([*argv, "--out", os.devnull], capsys)
+        assert (code, lapack_calls) == (0, []), err
+
+    def test_physics_sweep_reaches_the_patched_entries(self, lapack_calls, capsys):
+        code, _, err = run_cli(["physics-sweep", "--delta-over-g", "40", "--n-max", "4"], capsys)
+        assert code == 4 and "numpy.linalg.eigh called" in err
+        assert lapack_calls == ["eigh"]
