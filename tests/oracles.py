@@ -1,9 +1,9 @@
 """Test-only references: the paper's two atom-pair generators, the dense atoms (x)
 cavity generator, single-qubit Born probabilities, the Born-rule enumeration of a
 message round, the ancilla attack's Holevo chi, its Holevo quantity from LAPACK
-spectra, fine-grid information and eigenbasis readout, the timing error by simulation, basis states by label, state
-comparisons (norm, fidelity, entrywise and up to a global phase), and numpy's generator
-for the per-round streams."""
+spectra, fine-grid information and eigenbasis readout, the timing error by
+simulation, basis states by label, state comparisons (norm, fidelity, entrywise and
+up to a global phase), and numpy's generator for the per-round streams."""
 
 import math
 
