@@ -78,7 +78,8 @@ def _accepted(value, ok: bool, message: str):
 
 @dataclass(frozen=True)
 class AdversaryModel:
-    """Tagged strategy description; ``kind`` names an entry of ``STRATEGIES``."""
+    """Tagged strategy description; ``kind`` names an entry of ``STRATEGIES``, and a
+    field outside that entry's ``params`` must be None."""
 
     kind: str
     target_qubit: int | None = None
@@ -88,8 +89,12 @@ class AdversaryModel:
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in STRATEGIES):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
-        for name in STRATEGIES[self.kind].params:
-            object.__setattr__(self, name, PARAM_CHECKS[name](getattr(self, name)))
+        for name, check in PARAM_CHECKS.items():
+            value = getattr(self, name)
+            if name in STRATEGIES[self.kind].params:
+                object.__setattr__(self, name, check(value))
+            else:
+                _accepted(value, value is None, f"{name} must be None for kind {self.kind!r}")
 
 
 def _snap(p: float) -> Fraction:
@@ -221,18 +226,20 @@ def ancilla_attack_tradeoff(theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True)
 class Strategy:
-    """What every adversary kind declares: the ``AdversaryModel`` fields it
-    takes (each checked by ``PARAM_CHECKS``) and ``report(model)``, the extra
-    fields of its result row."""
+    """One adversary kind: ``exact(model)``, the value ``analytic_success`` returns;
+    ``sample(model, rng)``, one Monte Carlo round, True on a hit; ``params``, the
+    ``AdversaryModel`` fields it takes (each checked by ``PARAM_CHECKS``); and
+    ``report(model)``, the extra fields of its result row."""
 
+    exact: Callable[[AdversaryModel], Fraction | float]
+    sample: Callable[[AdversaryModel, RoundStream], bool]
     params: tuple[str, ...] = ()
     report: Callable[[AdversaryModel], dict] = lambda model: {}
 
 
-@dataclass(frozen=True)
-class MessageStrategy(Strategy):
+def _message_strategy(outcomes: Callable[[EncodingOp, DecodeKey], tuple]) -> Strategy:
     """An adversary acting on message rounds.
 
     ``outcomes(op, key)`` lists the equally likely results (True for a hit)
@@ -243,37 +250,25 @@ class MessageStrategy(Strategy):
     Message strategies take no model parameters.
     """
 
-    outcomes: Callable[[EncodingOp, DecodeKey], tuple[bool, ...]]
-
-    def exact(self, model: AdversaryModel) -> Fraction:
+    def exact(model: AdversaryModel) -> Fraction:
         total = Fraction(0)
         for op in EncodingOp:
             for key, p in decode_distribution(op).items():
-                results = self.outcomes(op, key)
+                results = outcomes(op, key)
                 total += p * Fraction(sum(results), len(results))
         return total / len(EncodingOp)
 
-    def sample(self, model: AdversaryModel, rng: RoundStream) -> bool:
+    def sample(model: AdversaryModel, rng: RoundStream) -> bool:
         """One message round with a uniformly random message; True on a hit."""
         op = EncodingOp(rng.integers(4))
         pair, signs = measure_decode(_honest_post_state(2, op, 2), rng, 2)
-        results = self.outcomes(op, DecodeKey(pair, signs[0]))
+        results = outcomes(op, DecodeKey(pair, signs[0]))
         return results[rng.integers(len(results))]
 
-
-@dataclass(frozen=True)
-class CheckAttack(Strategy):
-    """An eavesdropper acting on check rounds: sampled attacked state and exact detection rate."""
-
-    attacked_state: Callable[[AdversaryModel, RoundStream], QuantumState]
-    exact: Callable[[AdversaryModel], Fraction | float]
-
-    def sample(self, model: AdversaryModel, rng: RoundStream) -> bool:
-        """One check round on the attacked state; True when it flags a violation."""
-        return random_check_round(self.attacked_state(model, rng), rng, 3).violation
+    return Strategy(exact, sample)
 
 
-def _report_cheat(field: str, exclude_truth: bool) -> MessageStrategy:
+def _report_cheat(field: str, exclude_truth: bool) -> Callable[[EncodingOp, DecodeKey], tuple]:
     """A party replaces its ``field`` of the decode key by a uniformly random
     report (lies) or a uniformly random false one (flips); a hit is a wrong decode."""
     alphabet = PAIRS if field == "pair" else SIGNS
@@ -287,10 +282,10 @@ def _report_cheat(field: str, exclude_truth: bool) -> MessageStrategy:
             if not (exclude_truth and report == truth)
         )
 
-    return MessageStrategy(outcomes)
+    return outcomes
 
 
-def _solo_guess(field: str) -> MessageStrategy:
+def _solo_guess(field: str) -> Callable[[EncodingOp, DecodeKey], tuple]:
     """Guess the message from ``field`` of the decode key alone: the
     maximum-a-posteriori operation, ties going to the lowest bits."""
 
@@ -300,29 +295,31 @@ def _solo_guess(field: str) -> MessageStrategy:
         return max(EncodingOp, key=lambda op: sum(
             p for key, p in decode_distribution(op).items() if getattr(key, field) == view))
 
-    return MessageStrategy(lambda op, key: (guess(getattr(key, field)) == op,))
+    return lambda op, key: (guess(getattr(key, field)) == op,)
 
 
-STRATEGIES: dict[str, MessageStrategy | CheckAttack] = {
-    "honest": MessageStrategy(lambda op, key: (DECODE_TABLE[key] != op,)),
-    "charlie_lies": _report_cheat("sign", exclude_truth=False),
-    "bob_lies": _report_cheat("pair", exclude_truth=False),
-    "charlie_flips": _report_cheat("sign", exclude_truth=True),
-    "bob_flips": _report_cheat("pair", exclude_truth=True),
-    "bob_alone_guess": _solo_guess("pair"),
-    "charlie_alone_guess": _solo_guess("sign"),
-    "intercept_resend": CheckAttack(
-        attacked_state=lambda model, rng: measure(
-            prepare_ghz(2), model.target_qubit, INTERCEPT_BASES[model.intercept_basis], rng.random()
-        )[1],
+# A check attack's sample builds the attacked state before the check round draws from ``rng``.
+STRATEGIES: dict[str, Strategy] = {
+    "honest": _message_strategy(lambda op, key: (DECODE_TABLE[key] != op,)),
+    "charlie_lies": _message_strategy(_report_cheat("sign", exclude_truth=False)),
+    "bob_lies": _message_strategy(_report_cheat("pair", exclude_truth=False)),
+    "charlie_flips": _message_strategy(_report_cheat("sign", exclude_truth=True)),
+    "bob_flips": _message_strategy(_report_cheat("pair", exclude_truth=True)),
+    "bob_alone_guess": _message_strategy(_solo_guess("pair")),
+    "charlie_alone_guess": _message_strategy(_solo_guess("sign")),
+    "intercept_resend": Strategy(
         exact=lambda model: intercept_resend_detection(model.target_qubit, model.intercept_basis),
+        sample=lambda model, rng: random_check_round(measure(
+            prepare_ghz(2), model.target_qubit, INTERCEPT_BASES[model.intercept_basis], rng.random()
+        )[1], rng, 3).violation,
         params=("target_qubit", "intercept_basis"),
     ),
-    "ancilla_attack": CheckAttack(
-        # The analytic value needs no information_bits; ``report`` computes it once.
-        attacked_state=lambda model, rng: attach_ancilla(prepare_ghz(2), model.theta),
+    "ancilla_attack": Strategy(
         exact=lambda model: check_violation_rate(attach_ancilla(prepare_ghz(2), model.theta)),
+        sample=lambda model, rng: random_check_round(
+            attach_ancilla(prepare_ghz(2), model.theta), rng, 3).violation,
         params=("theta",),
+        # The analytic value needs no information_bits; ``report`` computes it once.
         report=lambda model: {"information_bits": ancilla_attack_tradeoff(model.theta)},
     ),
 }

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -43,8 +44,19 @@ _TRIPLET_SLOTS = np.array([0, 1, 3])  # ee, T0, gg in the exchange pair basis
 def _require_finite(params) -> None:
     for field in fields(params):
         value = getattr(params, field.name)
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        # Compared exactly, an int beyond float range is not finite (math.isfinite would overflow).
+        if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
             raise ValueError(f"{field.name} must be finite, got {value!r}")
+
+
+def _as_float(name: str, value) -> float:
+    """A real number as a float; NaN and inf pass, an int beyond float range is not finite."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -52,7 +64,8 @@ class CavityParams:
     """Rates of the driven atoms-cavity system: coupling, detuning and drive.
 
     ``g`` is the atom-cavity coupling and ``delta`` the atom-cavity detuning,
-    which must be positive (dispersive regime sign choice).  The classical
+    which must be positive (dispersive regime sign choice) and large enough
+    that the dispersive coupling g^2/(2 delta) is finite.  The classical
     drive of Rabi frequency ``omega_rabi`` is resonant with the atoms.
     """
 
@@ -66,16 +79,17 @@ class CavityParams:
             raise ValueError("coupling g must be >= 0")
         if self.delta <= 0:
             raise ValueError("detuning delta must be > 0")
+        if math.isinf(self.dispersive_coupling):
+            raise ValueError(f"detuning delta is too small: g^2/(2 delta) overflows, "
+                             f"got delta={self.delta!r}, g={self.g!r}")
         if self.omega_rabi < 0:
             raise ValueError("Rabi frequency must be >= 0")
 
     @classmethod
     def from_ratios(cls, delta_over_g: float, omega_over_delta: float) -> "CavityParams":
         """Parameters at unit coupling g from the two dimensionless regime ratios."""
-        for name, ratio in (("delta_over_g", delta_over_g), ("omega_over_delta", omega_over_delta)):
-            if not isinstance(ratio, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {ratio!r}")
-        delta = float(delta_over_g)
+        delta = _as_float("delta_over_g", delta_over_g)
+        omega_over_delta = _as_float("omega_over_delta", omega_over_delta)
         return cls(g=1.0, delta=delta, omega_rabi=omega_over_delta * delta)
 
     @property
@@ -250,7 +264,8 @@ def validate_effective_model(
     block, singlet = full_hamiltonian(params, fock)
     energies, modes = np.linalg.eigh(block)
     top = max(np.abs(energies).max(), np.abs(singlet[fock_in]).max())
-    phase_error = np.finfo(float).eps * top * duration
+    # Python floats overflow to inf without a numpy RuntimeWarning; the check below refuses it.
+    phase_error = sys.float_info.epsilon * float(top) * float(duration)
     if not phase_error <= MAX_PHASE_ERROR:
         raise ValueError(
             f"eps*max|E|*t = {phase_error:.2e} exceeds {MAX_PHASE_ERROR:g}: "

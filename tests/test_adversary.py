@@ -79,10 +79,27 @@ class TestModels:
             AdversaryModel("mallory")
 
     def test_cli_flags_and_strategy_table_agree(self):
+        values = {"target_qubit": 2, "intercept_basis": "computational", "theta": 0.3}
         for kind in MODEL_FLAGS.values():
-            model = AdversaryModel(kind, target_qubit=2, intercept_basis="computational", theta=0.3)
+            model = AdversaryModel(kind, **{name: values[name] for name in STRATEGIES[kind].params})
             assert model.kind == kind
         assert set(STRATEGIES) <= set(MODEL_FLAGS.values())
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("honest", "target_qubit", 7),
+        ("honest", "intercept_basis", "zzz"),
+        ("honest", "theta", "abc"),
+        ("bob_alone_guess", "theta", 0.3),
+        ("intercept_resend", "theta", 0.3),
+        ("ancilla_attack", "target_qubit", 2),
+        ("ancilla_attack", "intercept_basis", "x"),
+    ])
+    def test_model_holds_only_its_kinds_parameters(self, kind, field, value):
+        own = {"intercept_resend": {"target_qubit": 2, "intercept_basis": "x"},
+               "ancilla_attack": {"theta": 0.3}}.get(kind, {})
+        with pytest.raises(ValueError, match=f"^{field} must be None for kind '{kind}', got {value!r}"):
+            AdversaryModel(kind, **own, **{field: value})
+        assert AdversaryModel(kind, **own, **{field: None}) == AdversaryModel(kind, **own)
 
 
 class TestDecodeDistribution:
@@ -419,7 +436,7 @@ class TestCachedRoundInputs:
         assert not allclose(attach_ancilla(encode(ghz, EncodingOp.SIGMA_X), 0.3), base)
 
     def test_liar_table_matches_decoding(self):
-        outcomes = STRATEGIES["bob_lies"].outcomes
+        outcomes = adversary._report_cheat("pair", exclude_truth=False)
         for op in EncodingOp:
             for key in (DecodeKey(pair, sign) for pair in PAIRS for sign in "+-"):
                 expected = tuple(decode(p, [key.sign]) != op for p in PAIRS)

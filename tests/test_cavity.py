@@ -181,7 +181,20 @@ class TestCavityParams:
         with pytest.raises(ValueError):
             PulseParams(-0.1, 0.0)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("ratios,name", [((10**400, 20), "delta_over_g"),
+                                             ((40, 10**400), "omega_over_delta")])
+    def test_ratio_beyond_float_range_rejected(self, ratios, name):
+        """float() would raise OverflowError; an int beyond float range is not finite."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            CavityParams.from_ratios(*ratios)
+
+    @pytest.mark.parametrize("g,delta", [(1.0, 1e-310), (1e200, 1.0)])
+    def test_overflowing_dispersive_coupling_rejected(self, g, delta):
+        with pytest.raises(ValueError, match=r"^detuning delta is too small: g\^2/\(2 delta\) overflows"):
+            CavityParams(g, delta, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     pytest.param(10**400, id="int-beyond-float")])
     @pytest.mark.parametrize("field", ["g", "delta", "omega_rabi"])
     def test_non_finite_cavity_field_rejected(self, field, bad):
         values = {"g": 1.0, "delta": 10.0, "omega_rabi": 200.0}
@@ -192,6 +205,7 @@ class TestCavityParams:
     @pytest.mark.parametrize("lambda_t,omega_t,field", [
         (float("nan"), np.pi, "lambda_t"),
         (np.pi / 4, float("inf"), "omega_t"),
+        pytest.param(10**400, 0.0, "lambda_t", id="int-beyond-float-lambda_t"),
     ])
     def test_non_finite_pulse_rejected(self, lambda_t, omega_t, field):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
@@ -554,6 +568,7 @@ class TestPhaseResolution:
     @pytest.mark.parametrize("params,pulse", [
         (params_for(), PulseParams(1e300, np.pi)),
         (params_for(10.0, 1e300), CANONICAL_PULSE),
+        (params_for(1e300), CANONICAL_PULSE),  # eps*max|E|*t overflows, with no RuntimeWarning
     ])
     def test_unresolvable_pulse_rejected(self, params, pulse):
         with pytest.raises(ValueError, match=r"eps\*max\|E\|\*t = .* exceeds 1e-06"):

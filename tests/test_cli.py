@@ -244,7 +244,7 @@ class TestSweeps:
         assert code == 2
         assert "invalid configuration: n_max must be 1..400, got 401" in err
 
-    @pytest.mark.parametrize("flag", ["--lambda-t", "--omega-over-delta"])
+    @pytest.mark.parametrize("flag", ["--lambda-t", "--omega-over-delta", "--delta-over-g"])
     def test_unresolvable_pulse_exits_two(self, flag, capsys):
         code, out, err = run_cli(["physics-sweep", flag, "1e300"], capsys)
         assert code == 2
@@ -256,6 +256,12 @@ class TestSweeps:
         code, out, _ = run_cli(["physics-sweep", "--delta-over-g", "1e-300"], capsys)
         assert code == 0
         assert 0.0 <= data_lines(out)[1]["error"] <= 1.0
+
+    def test_overflowing_dispersive_coupling_names_delta(self, capsys):
+        code, out, err = run_cli(["physics-sweep", "--delta-over-g", "1e-310"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "invalid configuration: detuning delta is too small: g^2/(2 delta) overflows" in err
 
     def test_timing_sweep_fidelities(self, capsys):
         code, out, _ = run_cli(["timing-sweep", "--epsilon-grid", "0,0.05"], capsys)

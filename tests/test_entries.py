@@ -56,7 +56,8 @@ ODD = st.sampled_from([
     "x", "2", "0.3", True, False, 2.0, 2.5, -0.0, 1j, 2 + 0j, [2], [0.3], None,
     math.nan, math.inf, -math.inf, 1e308, -1, 0, np.int64(2), np.float64(0.5),
 ])
-REAL = st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=True, allow_infinity=True), ODD)
+REAL = st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=True, allow_infinity=True),
+                st.just(10**400), ODD)  # an int beyond float range
 
 
 def count(low: int, high: int) -> st.SearchStrategy:
@@ -153,6 +154,9 @@ class TestEntryProperty:
     @example(("AdversaryModel", ("ancilla_attack", None, None, "0.3")))
     @example(("AdversaryModel", ("ancilla_attack", None, None, 1j)))
     @example(("AdversaryModel", ("ancilla_attack", None, None, [0.3])))
+    @example(("CavityParams", (10**400, 1.0, 1.0)))
+    @example(("PulseParams", (10**400, 0.0)))
+    @example(("CavityParams.from_ratios", (10**400, 20)))
     @example(("prepare_ghz", ([2],)))
     @example(("decode", ("ee", 5)))
     @example(("encode", (GHZ, 1)))
