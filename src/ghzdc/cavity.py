@@ -94,8 +94,10 @@ class CavityParams:
 
     @property
     def dispersive_coupling(self) -> float:
-        """Effective atom-atom coupling rate g^2 / (2 delta)."""
-        return self.g * self.g / (2.0 * self.delta)
+        """Effective atom-atom coupling rate g^2 / (2 delta), in Python floats: an
+        overflow reads inf, which ``__post_init__`` refuses, with no numpy warning."""
+        g = float(self.g)
+        return g * g / (2.0 * float(self.delta))
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ def validate_effective_model(
     lam = params.dispersive_coupling
     if lam == 0.0 and pulse.lambda_t != 0.0:
         raise ValueError("lambda is zero: no duration realizes a nonzero coupling angle")
-    duration = pulse.lambda_t / lam if lam else 0.0
+    duration = float(pulse.lambda_t) / lam if lam else 0.0
 
     levels = fock.levels
     weights = _cavity_weights(initial_cavity, levels)
@@ -265,7 +267,7 @@ def validate_effective_model(
     energies, modes = np.linalg.eigh(block)
     top = max(np.abs(energies).max(), np.abs(singlet[fock_in]).max())
     # Python floats overflow to inf without a numpy RuntimeWarning; the check below refuses it.
-    phase_error = sys.float_info.epsilon * float(top) * float(duration)
+    phase_error = sys.float_info.epsilon * float(top) * duration
     if not phase_error <= MAX_PHASE_ERROR:
         raise ValueError(
             f"eps*max|E|*t = {phase_error:.2e} exceeds {MAX_PHASE_ERROR:g}: "

@@ -188,7 +188,9 @@ class TestCavityParams:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             CavityParams.from_ratios(*ratios)
 
-    @pytest.mark.parametrize("g,delta", [(1.0, 1e-310), (1e200, 1.0)])
+    @pytest.mark.parametrize("g,delta", [(1.0, 1e-310), (1e200, 1.0), (np.float64(1e200), 1.0),
+                                         (1.0, np.float64(1e-310))],
+                             ids=["delta", "g", "numpy-g", "numpy-delta"])  # numpy: no RuntimeWarning
     def test_overflowing_dispersive_coupling_rejected(self, g, delta):
         with pytest.raises(ValueError, match=r"^detuning delta is too small: g\^2/\(2 delta\) overflows"):
             CavityParams(g, delta, 0.0)

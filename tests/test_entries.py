@@ -93,10 +93,11 @@ ENTRIES = {
     "decode_table": (decode_table, (count(2, 11),)),
     "parity_accept_set": (parity_accept_set, (count(3, 12),)),
     "timing_error_fidelity": (timing_error_fidelity, (REAL,)),
+    # Each field is often None, as a kind that does not take it requires.
     "AdversaryModel": (AdversaryModel, (
-        st.one_of(st.sampled_from(sorted(STRATEGIES)), ODD), count(2, 3),
-        st.one_of(st.sampled_from(["computational", "x", "y", "z"]), ODD),
-        st.one_of(st.floats(-0.1, 1.7), REAL))),
+        st.one_of(st.sampled_from(sorted(STRATEGIES)), ODD), st.one_of(st.none(), count(2, 3)),
+        st.one_of(st.none(), st.sampled_from(["computational", "x", "y", "z"]), ODD),
+        st.one_of(st.none(), st.floats(-0.1, 1.7), REAL))),
     "ancilla_attack_tradeoff": (ancilla_attack_tradeoff, (st.one_of(st.floats(-0.1, 1.7), REAL),)),
     "monte_carlo_confirm": (monte_carlo_confirm, (
         st.sampled_from([AdversaryModel("honest"), AdversaryModel("bob_lies"),
