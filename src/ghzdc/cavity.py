@@ -90,7 +90,11 @@ class CavityParams:
         """Parameters at unit coupling g from the two dimensionless regime ratios."""
         delta = _as_float("delta_over_g", delta_over_g)
         omega_over_delta = _as_float("omega_over_delta", omega_over_delta)
-        return cls(g=1.0, delta=delta, omega_rabi=omega_over_delta * delta)
+        omega_rabi = omega_over_delta * delta  # Python floats: an overflow reads inf, with no warning
+        if math.isinf(omega_rabi) and math.isfinite(delta) and math.isfinite(omega_over_delta):
+            raise ValueError(f"omega_over_delta * delta_over_g overflows, got delta_over_g={delta!r}, "
+                             f"omega_over_delta={omega_over_delta!r}")
+        return cls(g=1.0, delta=delta, omega_rabi=omega_rabi)
 
     @property
     def dispersive_coupling(self) -> float:
@@ -118,15 +122,21 @@ class PulseParams:
 CANONICAL_PULSE = PulseParams(lambda_t=np.pi / 4, omega_t=np.pi)
 
 
-# Largest truncation accepted: one validation at n_max 400 is a dense 1203x1203
-# eigensolve of the exchange-symmetric block, ~0.4-0.5 s and ~87 MB peak resident
-# in a fresh process (2 cores, one BLAS thread); the cost grows as n_max**3.
+# Largest truncation accepted.  A validation at n_max 400 builds the 1203x1203 triplet
+# block but solves only the leading levels its truncation bound certifies: 48x48 for a
+# Fock 0 input, ~1 ms and ~41 MB peak resident in a fresh process (2 cores, one BLAS
+# thread).  When the bound never passes it ends on the dense 1203x1203 solve, ~0.22 s and
+# ~99 MB, the worst case, which grows as n_max**3.
 MAX_FOCK = 400
 
 # Largest phase error accepted from float64 propagation: eps * max|E| * t, for the
-# generator's largest energy |E| and the pulse duration t.  The physics-sweep
-# workload's worst point (delta/g 80, n_max 96) sits at 3.0e-10.
+# largest energy |E| of the spectrum propagated and the pulse duration t.  The
+# physics-sweep workload's worst point (delta/g 80, n_max 96, Fock 1) sits at 1.3e-10.
 MAX_PHASE_ERROR = 1e-6
+
+# Largest Duhamel bound on ||exp(-iHt) v - exp(-iH_m t) v|| at which a solve on the
+# leading Fock levels 0..m-1 stands for the full block (``_truncation_bound``).
+MAX_TRUNCATION_ERROR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -190,9 +200,9 @@ def full_hamiltonian(params: CavityParams, fock: FockSpace) -> tuple[np.ndarray,
     Each sqrt2 entry is ``(x + x) * _SQRT_HALF`` and each T0 or S diagonal
     ``(b * _SQRT_HALF + b * _SQRT_HALF) * _SQRT_HALF``, as the pair rotation of the
     atoms (x) cavity generator computes them, so the two agree bit for bit.  The
-    photon-major order keeps the block banded: ``eigh`` is faster on it at ``n_max``
-    96 but meets subnormals and is slower at 400, so it stays unless a workload at
-    ``n_max`` >= 200 is added.
+    photon-major order makes the truncation to levels 0..m-1 the leading 3m x 3m
+    submatrix, which ``validate_effective_model`` solves, and it keeps the block banded;
+    a dense ``eigh`` of the whole block meets subnormals at ``n_max`` 400.
     """
     levels = fock.levels
     n = np.arange(levels)
@@ -237,6 +247,19 @@ def _exchange_reflect(x: np.ndarray) -> None:
         pairs[1], pairs[2] = (pairs[1] + pairs[2]) * _SQRT_HALF, (pairs[1] - pairs[2]) * _SQRT_HALF
 
 
+def _truncation_bound(modes: np.ndarray, cols: np.ndarray, coupling: float, duration: float) -> float:
+    """Duhamel bound on ||exp(-iHt) v - exp(-iH_m t) v|| over the input columns ``v``.
+
+    ``modes`` are the eigenvectors W of the leading block H_m on levels 0..m-1, and
+    ``coupling`` the norm of the one term that leaves it, level m-1 to level m.  The
+    amplitude on level m-1 never exceeds sum_k ||W[m-1, k]|| |W[c, k]|, and the error
+    grows at most at ``coupling`` times that amplitude over the pulse.
+    """
+    top_level = np.sqrt(np.sum(modes[-3:] ** 2, axis=0))  # ||W[level m-1, k]||
+    reach = float((np.abs(modes[cols]) @ top_level).max())
+    return duration * coupling * reach  # Python floats: an overflow reads inf, which fails
+
+
 def validate_effective_model(
     params: CavityParams,
     fock: FockSpace,
@@ -248,12 +271,19 @@ def validate_effective_model(
     The full model runs for ``t = pulse.lambda_t / lambda``, the cavity (Fock
     state or classical mixture of Fock states) is traced out, and each of the
     four computational atom inputs is compared against the prediction of
-    ``effective_unitary`` for the pulse actually realized in that time.  Emits
-    ``TruncationWarning`` when, for any atom input, more than 1e-6 of the
-    population lands on the top retained level, each cavity Fock branch
-    counted at its mixture weight.  Raises ``ValueError`` when float64 cannot
-    resolve the phases, i.e. when ``eps * max|E| * t`` exceeds
-    ``MAX_PHASE_ERROR``, and when lambda is zero but the coupling angle is not.
+    ``effective_unitary`` for the pulse actually realized in that time.
+
+    The eigensolve covers only the leading Fock levels 0..m-1 of the photon-major
+    block, starting at m = 2 (top + 1) + 14 for the highest input level ``top``,
+    and it stands for the full block once ``_truncation_bound`` is at most
+    ``MAX_TRUNCATION_ERROR``; otherwise m doubles, up to every retained level,
+    where the solve is exact.  Emits ``TruncationWarning`` when, for any atom
+    input, more than 1e-6 of the population lands on the top retained level,
+    each cavity Fock branch counted at its mixture weight; a certified truncated
+    solve leaves at most the bound squared there.  Raises ``ValueError`` when
+    float64 cannot resolve the phases, i.e. when ``eps * max|E| * t`` over the
+    propagated spectrum exceeds ``MAX_PHASE_ERROR``, and when lambda is zero but
+    the coupling angle is not.
     """
     lam = params.dispersive_coupling
     if lam == 0.0 and pulse.lambda_t != 0.0:
@@ -263,8 +293,16 @@ def validate_effective_model(
     levels = fock.levels
     weights = _cavity_weights(initial_cavity, levels)
     fock_in = np.flatnonzero(weights)
+    cols = (3 * fock_in[:, None] + np.arange(3)).ravel()  # [fock_in, slot]
     block, singlet = full_hamiltonian(params, fock)
-    energies, modes = np.linalg.eigh(block)
+    # Photon-major order makes levels 0..m-1 the leading 3m x 3m submatrix.
+    m = min(2 * (int(fock_in[-1]) + 1) + 14, levels)
+    while True:
+        energies, modes = np.linalg.eigh(block[: 3 * m, : 3 * m])
+        if m == levels or _truncation_bound(
+                modes, cols, math.sqrt(2.0 * m) * float(params.g), duration) <= MAX_TRUNCATION_ERROR:
+            break
+        m = min(2 * m, levels)
     top = max(np.abs(energies).max(), np.abs(singlet[fock_in]).max())
     # Python floats overflow to inf without a numpy RuntimeWarning; the check below refuses it.
     phase_error = sys.float_info.epsilon * float(top) * duration
@@ -278,20 +316,21 @@ def validate_effective_model(
     # exp(-iHt)[:, cols] = V cos(wt) V[cols]^T - i V sin(wt) V[cols]^T on the triplet
     # block for the real orthogonal V, and one phase on each singlet column.
     k = fock_in.size
-    cols = (3 * fock_in[:, None] + np.arange(3)).ravel()  # [fock_in, slot]
     inputs = modes[cols].T
     angles = (energies * duration)[:, None]
     waves = modes @ np.hstack((inputs * np.cos(angles), inputs * np.sin(angles)))
-    waves = waves.reshape(levels, 3, 2, k, 3).transpose(2, 1, 0, 4, 3)  # [re/im, slot, n, slot, k]
-    outputs = np.zeros((4, levels, 4, k), dtype=complex)
-    in_triplet = np.ix_(_TRIPLET_SLOTS, range(levels), _TRIPLET_SLOTS, range(k))
+    waves = waves.reshape(m, 3, 2, k, 3).transpose(2, 1, 0, 4, 3)  # [re/im, slot, n, slot, k]
+    outputs = np.zeros((4, m, 4, k), dtype=complex)
+    in_triplet = np.ix_(_TRIPLET_SLOTS, range(m), _TRIPLET_SLOTS, range(k))
     outputs.real[in_triplet] = waves[0]
     outputs.imag[in_triplet] = -waves[1]
     outputs[2, fock_in, 2, range(k)] = np.exp(-1j * singlet[fock_in] * duration)
     _exchange_reflect(outputs)
     branches = outputs.transpose(2, 3, 0, 1)  # [atom_in, fock_in, pair, n]
-    leak = np.sum(np.abs(branches[..., -1]) ** 2, axis=-1)  # [atom_in, fock_in]
-    worst_leak = float((leak @ weights[fock_in]).max())
+    worst_leak = 0.0  # a certified truncated solve leaves at most the bound squared on level n_max
+    if m == levels:
+        leak = np.sum(np.abs(branches[..., -1]) ** 2, axis=-1)  # [atom_in, fock_in]
+        worst_leak = float((leak @ weights[fock_in]).max())
     rho = np.einsum("k,akpn,akqn->apq", weights[fock_in], branches, branches.conj())
     targets = u_eff.T[:, :, None] * u_eff.T.conj()[:, None, :]  # [atom_in, pair, pair]
     distances = 0.5 * np.abs(np.linalg.eigvalsh(rho - targets)).sum(axis=1)
@@ -303,4 +342,3 @@ def validate_effective_model(
             stacklevel=2,
         )
     return float(distances.max())
-

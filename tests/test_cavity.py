@@ -12,15 +12,19 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import ghzdc
+from ghzdc import cavity
 from ghzdc.cavity import (
     CANONICAL_PULSE,
     MAX_FOCK,
+    MAX_PHASE_ERROR,
+    MAX_TRUNCATION_ERROR,
     CavityParams,
     FockSpace,
     PulseParams,
@@ -212,6 +216,13 @@ class TestCavityParams:
     def test_non_finite_pulse_rejected(self, lambda_t, omega_t, field):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             PulseParams(lambda_t, omega_t)
+
+    @pytest.mark.parametrize("ratios", [(1e200, 1e200), (1e200, -1e200), (10.0, 1e308)])
+    def test_overflowing_drive_names_both_ratios(self, ratios):
+        """Both ratios are finite, their product omega_rabi is not; no CavityParams field is named."""
+        with pytest.raises(ValueError, match=r"^omega_over_delta \* delta_over_g overflows, "
+                                             r"got delta_over_g=.*, omega_over_delta="):
+            CavityParams.from_ratios(*ratios)
 
     @pytest.mark.parametrize("ratios,name", [(("40", 20), "delta_over_g"),
                                              ((40, "20"), "omega_over_delta")])
@@ -554,14 +565,78 @@ class TestPhotonMajorBlock:
         rows, cols = np.nonzero(block)
         assert np.max(np.abs(rows - cols)) == 4
 
-    @pytest.mark.parametrize("delta_over_g", [10.0, 40.0, 80.0])
-    @pytest.mark.parametrize("initial_cavity", [0, 1, [0.5, 0.3, 0.2]])
+    @pytest.mark.parametrize("delta_over_g", [10.0, 40.0, 80.0, 20.0, 60.0])
+    @pytest.mark.parametrize("initial_cavity", [0, 1, [0.5, 0.3, 0.2], 2, 3, 4])
     def test_matches_slot_major_oracle_at_n_max_96(self, delta_over_g, initial_cavity):
         params = params_for(delta_over_g, 20.0)
         fock = FockSpace(96)
         err = validate_effective_model(params, fock, CANONICAL_PULSE, initial_cavity)
         expected = slot_major_validation(params, fock, CANONICAL_PULSE, initial_cavity)
         assert abs(err - expected) < 1e-9
+
+
+class TestLeadingBlock:
+    """The eigensolve covers the leading Fock levels that a Duhamel bound certifies."""
+
+    # The physics-sweep benchmark's grid: delta/g 10, 12, ..., 80 at Omega/delta 20, n_max 96.
+    BENCHMARK_SWEEP = {"delta_over_g": [float(x) for x in range(10, 81, 2)], "omega_over_delta": 20.0,
+                       "n_max": 96, "lambda_t": CANONICAL_PULSE.lambda_t}
+
+    @staticmethod
+    def eigh_sizes(call):
+        """The result of ``call()`` and the size of each matrix it passed to ``numpy.linalg.eigh``."""
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        with mock.patch("numpy.linalg.eigh", counting):
+            return call(), sizes
+
+    @pytest.mark.parametrize("delta_over_g", [10.0, 40.0, 80.0])
+    @pytest.mark.parametrize("initial_cavity", [0, 1])
+    def test_error_bit_identical_across_n_max(self, delta_over_g, initial_cavity):
+        params = params_for(delta_over_g, 20.0)
+        errors = {validate_effective_model(params, FockSpace(n_max), CANONICAL_PULSE, initial_cavity)
+                  for n_max in (40, 96, 400)}
+        assert len(errors) == 1
+
+    @pytest.mark.parametrize("n_max,sizes", [(12, [39]), (18, [54, 57])])
+    def test_uncertified_point_ends_on_full_block(self, n_max, sizes):
+        """Far from the dispersive regime the bound fails at every truncated size."""
+        params, fock = params_for(2.0, 2.0), FockSpace(n_max)
+        with pytest.warns(TruncationWarning, match=f"reached Fock level {n_max};"):
+            err, seen = self.eigh_sizes(
+                lambda: validate_effective_model(params, fock, CANONICAL_PULSE, 1))
+        assert seen == sizes and seen[-1] == 3 * fock.levels
+        assert abs(err - slot_major_validation(params, fock, CANONICAL_PULSE, 1)) < 1e-9
+
+    def test_certified_bound_on_benchmark_grid(self):
+        bounds = []
+        bound = cavity._truncation_bound
+
+        def recording(*args):
+            bounds.append(bound(*args))
+            return bounds[-1]
+
+        with mock.patch.object(cavity, "_truncation_bound", recording):
+            for fock_index in (0, 1):
+                RUNNERS["physics-sweep"](self.BENCHMARK_SWEEP | {"cavity_fock": fock_index})
+        assert len(bounds) == 72
+        assert max(bounds) <= MAX_TRUNCATION_ERROR
+
+    @pytest.mark.parametrize("fock_index,size", [(0, 48), (1, 54)])
+    def test_benchmark_grid_calls(self, fock_index, size):
+        """One full_hamiltonian per point, and one eigh of the leading 2 (n + 1) + 14 levels."""
+        points = len(self.BENCHMARK_SWEEP["delta_over_g"])
+        with mock.patch.object(cavity, "full_hamiltonian", wraps=full_hamiltonian) as built:
+            (rows, _), sizes = self.eigh_sizes(
+                lambda: RUNNERS["physics-sweep"](self.BENCHMARK_SWEEP | {"cavity_fock": fock_index}))
+        assert len(rows) == points
+        assert built.call_count == points
+        assert sizes == [size] * points
 
 
 class TestPhaseResolution:
@@ -580,6 +655,17 @@ class TestPhaseResolution:
         params = params_for()
         with pytest.raises(ValueError, match="exceeds"):
             validate_effective_model(params, FockSpace(8), pulse_for(params, 1e12), 0)
+
+    def test_unpropagated_levels_do_not_refuse(self):
+        """At delta/g 3000 and n_max 400 only levels the certified solve never reaches are too fast."""
+        params, fock = params_for(3000.0, 20.0), FockSpace(400)
+        duration = CANONICAL_PULSE.lambda_t / params.dispersive_coupling
+        block, _ = full_hamiltonian(params, fock)
+        # A diagonal entry is a Rayleigh quotient, so max|E| of the full block is at least this.
+        assert sys.float_info.epsilon * np.abs(np.diag(block)).max() * duration > MAX_PHASE_ERROR
+        err = validate_effective_model(params, fock, CANONICAL_PULSE, 0)
+        assert 0.0 <= err <= 1.0
+        assert err == validate_effective_model(params, FockSpace(40), CANONICAL_PULSE, 0)
 
     def test_far_from_dispersive_is_still_evaluated(self):
         """delta/g = 1e-300 is far from the effective model but has short, resolvable phases."""

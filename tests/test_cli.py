@@ -263,6 +263,14 @@ class TestSweeps:
         assert out == ""
         assert "invalid configuration: detuning delta is too small: g^2/(2 delta) overflows" in err
 
+    def test_overflowing_drive_names_both_ratios(self, capsys):
+        code, out, err = run_cli(
+            ["physics-sweep", "--delta-over-g", "1e200", "--omega-over-delta", "1e200"], capsys)
+        assert code == 2
+        assert out == ""
+        assert ("invalid configuration: omega_over_delta * delta_over_g overflows, "
+                "got delta_over_g=1e+200, omega_over_delta=1e+200") in err
+
     def test_timing_sweep_fidelities(self, capsys):
         code, out, _ = run_cli(["timing-sweep", "--epsilon-grid", "0,0.05"], capsys)
         assert code == 0
