@@ -24,7 +24,6 @@ from ghzdc.cavity import (
     CANONICAL_PULSE,
     MAX_FOCK,
     MAX_PHASE_ERROR,
-    MAX_TRUNCATION_ERROR,
     CavityParams,
     FockSpace,
     PulseParams,
@@ -612,20 +611,6 @@ class TestLeadingBlock:
                 lambda: validate_effective_model(params, fock, CANONICAL_PULSE, 1))
         assert seen == sizes and seen[-1] == 3 * fock.levels
         assert abs(err - slot_major_validation(params, fock, CANONICAL_PULSE, 1)) < 1e-9
-
-    def test_certified_bound_on_benchmark_grid(self):
-        bounds = []
-        bound = cavity._truncation_bound
-
-        def recording(*args):
-            bounds.append(bound(*args))
-            return bounds[-1]
-
-        with mock.patch.object(cavity, "_truncation_bound", recording):
-            for fock_index in (0, 1):
-                RUNNERS["physics-sweep"](self.BENCHMARK_SWEEP | {"cavity_fock": fock_index})
-        assert len(bounds) == 72
-        assert max(bounds) <= MAX_TRUNCATION_ERROR
 
     @pytest.mark.parametrize("fock_index,size", [(0, 48), (1, 54)])
     def test_benchmark_grid_calls(self, fock_index, size):
