@@ -122,11 +122,11 @@ class PulseParams:
 CANONICAL_PULSE = PulseParams(lambda_t=np.pi / 4, omega_t=np.pi)
 
 
-# Largest truncation accepted.  A validation at n_max 400 builds the 1203x1203 triplet
-# block but solves only the leading levels its truncation bound certifies: 48x48 for a
-# Fock 0 input, ~1 ms and ~41 MB peak resident in a fresh process (2 cores, one BLAS
-# thread).  When the bound never passes it ends on the dense 1203x1203 solve, ~0.22 s and
-# ~99 MB, the worst case, which grows as n_max**3.
+# Largest truncation accepted.  A validation at n_max 400 builds and solves only the
+# leading levels its truncation bound certifies: 48x48 for a Fock 0 input, ~0.5 ms warm
+# and ~30 MB peak resident in a fresh process (2 cores, one BLAS thread).  When the bound
+# never passes it ends on the dense 1203x1203 triplet block, ~0.45 s and ~86 MB, the
+# worst case, which grows as n_max**3.
 MAX_FOCK = 400
 
 # Largest phase error accepted from float64 propagation: eps * max|E| * t, for the
@@ -200,9 +200,11 @@ def full_hamiltonian(params: CavityParams, fock: FockSpace) -> tuple[np.ndarray,
     Each sqrt2 entry is ``(x + x) * _SQRT_HALF`` and each T0 or S diagonal
     ``(b * _SQRT_HALF + b * _SQRT_HALF) * _SQRT_HALF``, as the pair rotation of the
     atoms (x) cavity generator computes them, so the two agree bit for bit.  The
-    photon-major order makes the truncation to levels 0..m-1 the leading 3m x 3m
-    submatrix, which ``validate_effective_model`` solves, and it keeps the block banded;
-    a dense ``eigh`` of the whole block meets subnormals at ``n_max`` 400.
+    photon-major order keeps the block banded and makes the truncation to levels
+    0..m-1 its leading 3m x 3m submatrix: the block of ``FockSpace(m - 1)`` equals that
+    submatrix, and its singlet energies the first m, bit for bit, so
+    ``validate_effective_model`` builds only the levels it solves.  A dense ``eigh`` of
+    the whole block meets subnormals at ``n_max`` 400.
     """
     levels = fock.levels
     n = np.arange(levels)
@@ -260,6 +262,21 @@ def _truncation_bound(modes: np.ndarray, cols: np.ndarray, coupling: float, dura
     return duration * coupling * reach  # Python floats: an overflow reads inf, which fails
 
 
+def _trace_distances(rho: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Trace distance 0.5 sum|eig(rho[i] - targets[i])| of each pair of 4x4 Hermitian matrices.
+
+    Each difference A + iB is taken through its real symmetric embedding
+    [[A, -B], [B, A]], whose spectrum is that of A + iB with every eigenvalue twice,
+    so only real LAPACK (``dsyevd``) runs.
+    """
+    diff = rho - targets
+    embedding = np.empty((diff.shape[0], 8, 8))
+    embedding[:, :4, :4] = embedding[:, 4:, 4:] = diff.real
+    embedding[:, 4:, :4] = diff.imag
+    embedding[:, :4, 4:] = -diff.imag
+    return 0.25 * np.abs(np.linalg.eigvalsh(embedding)).sum(axis=1)
+
+
 def validate_effective_model(
     params: CavityParams,
     fock: FockSpace,
@@ -273,17 +290,18 @@ def validate_effective_model(
     four computational atom inputs is compared against the prediction of
     ``effective_unitary`` for the pulse actually realized in that time.
 
-    The eigensolve covers only the leading Fock levels 0..m-1 of the photon-major
-    block, starting at m = 2 (top + 1) + 14 for the highest input level ``top``,
-    and it stands for the full block once ``_truncation_bound`` is at most
-    ``MAX_TRUNCATION_ERROR``; otherwise m doubles, up to every retained level,
-    where the solve is exact.  Emits ``TruncationWarning`` when, for any atom
-    input, more than 1e-6 of the population lands on the top retained level,
-    each cavity Fock branch counted at its mixture weight; a certified truncated
-    solve leaves at most the bound squared there.  Raises ``ValueError`` when
-    float64 cannot resolve the phases, i.e. when ``eps * max|E| * t`` over the
-    propagated spectrum exceeds ``MAX_PHASE_ERROR``, and when lambda is zero but
-    the coupling angle is not.
+    Only the leading Fock levels 0..m-1 are built and solved, starting at
+    m = 2 (top + 1) + 14 for the highest input level ``top``; that solve stands
+    for the full block once ``_truncation_bound`` is at most
+    ``MAX_TRUNCATION_ERROR``.  Otherwise the truncated solve is dropped and m
+    doubles, up to every retained level, where the solve is exact.  The trace
+    distances run through real LAPACK only (``_trace_distances``).  Emits
+    ``TruncationWarning`` when, for any atom input, more than 1e-6 of the
+    population lands on the top retained level, each cavity Fock branch counted
+    at its mixture weight; a certified truncated solve leaves at most the bound
+    squared there.  Raises ``ValueError`` when float64 cannot resolve the phases,
+    i.e. when ``eps * max|E| * t`` over the propagated spectrum exceeds
+    ``MAX_PHASE_ERROR``, and when lambda is zero but the coupling angle is not.
     """
     lam = params.dispersive_coupling
     if lam == 0.0 and pulse.lambda_t != 0.0:
@@ -294,14 +312,17 @@ def validate_effective_model(
     weights = _cavity_weights(initial_cavity, levels)
     fock_in = np.flatnonzero(weights)
     cols = (3 * fock_in[:, None] + np.arange(3)).ravel()  # [fock_in, slot]
-    block, singlet = full_hamiltonian(params, fock)
-    # Photon-major order makes levels 0..m-1 the leading 3m x 3m submatrix.
     m = min(2 * (int(fock_in[-1]) + 1) + 14, levels)
     while True:
-        energies, modes = np.linalg.eigh(block[: 3 * m, : 3 * m])
+        # Photon-major order makes the block on levels 0..m-1 the full one's leading
+        # 3m x 3m submatrix, bit for bit, so only those levels are built.
+        block, singlet = full_hamiltonian(params, FockSpace(m - 1))
+        energies, modes = np.linalg.eigh(block)
+        del block
         if m == levels or _truncation_bound(
                 modes, cols, math.sqrt(2.0 * m) * float(params.g), duration) <= MAX_TRUNCATION_ERROR:
             break
+        del energies, modes  # free the truncated solve before the larger build
         m = min(2 * m, levels)
     top = max(np.abs(energies).max(), np.abs(singlet[fock_in]).max())
     # Python floats overflow to inf without a numpy RuntimeWarning; the check below refuses it.
@@ -333,7 +354,7 @@ def validate_effective_model(
         worst_leak = float((leak @ weights[fock_in]).max())
     rho = np.einsum("k,akpn,akqn->apq", weights[fock_in], branches, branches.conj())
     targets = u_eff.T[:, :, None] * u_eff.T.conj()[:, None, :]  # [atom_in, pair, pair]
-    distances = 0.5 * np.abs(np.linalg.eigvalsh(rho - targets)).sum(axis=1)
+    distances = _trace_distances(rho, targets)
     if worst_leak > 1e-6:
         warnings.warn(
             f"population {worst_leak:.2e} reached Fock level {fock.n_max}; "

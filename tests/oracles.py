@@ -97,6 +97,11 @@ def born_decode_distribution(op: EncodingOp) -> dict[DecodeKey, float]:
     return {DecodeKey("eg"[b1] + "eg"[b2], SIGNS[s]): float(p) for (b1, b2, s), p in np.ndenumerate(probs)}
 
 
+def trace_distances(rho: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """0.5 sum|eig(rho - targets)| over the last two axes, by complex LAPACK's ``eigvalsh``."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(rho - targets)).sum(axis=-1)
+
+
 def ancilla_ensemble(theta: float) -> np.ndarray:
     """Sub-normalized ancilla ket per decode key of an attacked message round, shape (8, 2).
 

@@ -46,6 +46,7 @@ from oracles import (
     evolution_operator,
     regime_ok,
     timing_error_simulation,
+    trace_distances,
 )
 
 SQ2 = 1 / np.sqrt(2)
@@ -117,8 +118,7 @@ def dense_expm_validation(params, fock, pulse, weights):
             branch = u[:, atom_in * levels + n].reshape(4, levels)
             rho += w * (branch @ branch.conj().T)
         target = closed[:, atom_in]
-        eigs = np.linalg.eigvalsh(rho - np.outer(target, target.conj()))
-        worst = max(worst, 0.5 * float(np.sum(np.abs(eigs))))
+        worst = max(worst, float(trace_distances(rho, np.outer(target, target.conj()))))
     return worst
 
 
@@ -156,8 +156,7 @@ def slot_major_validation(params, fock, pulse, initial_cavity=0):
         for branch, w in zip(branches[atom_in], weights[fock_in]):
             rho += w * (branch @ branch.conj().T)
         target = u_eff[:, atom_in]
-        eigs = np.linalg.eigvalsh(rho - np.outer(target, target.conj()))
-        worst = max(worst, 0.5 * float(np.sum(np.abs(eigs))))
+        worst = max(worst, float(trace_distances(rho, np.outer(target, target.conj()))))
     return worst
 
 
@@ -614,14 +613,85 @@ class TestLeadingBlock:
 
     @pytest.mark.parametrize("fock_index,size", [(0, 48), (1, 54)])
     def test_benchmark_grid_calls(self, fock_index, size):
-        """One full_hamiltonian per point, and one eigh of the leading 2 (n + 1) + 14 levels."""
+        """One full_hamiltonian per point, of the leading 2 (n + 1) + 14 levels only, and
+        one eigh of the block it built: the 291-row block of n_max 96 is never built."""
         points = len(self.BENCHMARK_SWEEP["delta_over_g"])
-        with mock.patch.object(cavity, "full_hamiltonian", wraps=full_hamiltonian) as built:
+        built = []
+
+        def building(params, fock):
+            block, singlet = full_hamiltonian(params, fock)
+            built.append(block.shape[0])
+            return block, singlet
+
+        with mock.patch.object(cavity, "full_hamiltonian", building):
             (rows, _), sizes = self.eigh_sizes(
                 lambda: RUNNERS["physics-sweep"](self.BENCHMARK_SWEEP | {"cavity_fock": fock_index}))
         assert len(rows) == points
-        assert built.call_count == points
-        assert sizes == [size] * points
+        assert built == sizes == [size] * points
+
+    @pytest.mark.parametrize("params", [params_for(2.0, 2.0), params_for(), params_for(80.0, 20.0),
+                                        params_for(40.0, 2.0), GENERIC])
+    @pytest.mark.parametrize("m", [2, 16, 18, 97])
+    def test_leading_build_equals_full_prefix(self, params, m):
+        """The block built on levels 0..m-1 is the full block's leading 3m x 3m submatrix
+        and its singlet energies are the full ones' first m, bit for bit."""
+        block, singlet = full_hamiltonian(params, FockSpace(96))
+        leading, leading_singlet = full_hamiltonian(params, FockSpace(m - 1))
+        assert leading.shape == (3 * m, 3 * m)
+        assert (leading == block[: 3 * m, : 3 * m]).all()
+        assert (leading_singlet == singlet[:m]).all()
+
+
+class TestTraceDistance:
+    """The real 8x8 embedding gives the complex eigvalsh trace distance of ``tests/oracles.py``."""
+
+    @staticmethod
+    def distance_calls(call):
+        """The (rho, targets, distances) of every ``_trace_distances`` call that ``call()`` makes."""
+        calls = []
+        real = cavity._trace_distances
+
+        def recording(rho, targets):
+            distances = real(rho, targets)
+            calls.append((rho, targets, distances))
+            return distances
+
+        with mock.patch.object(cavity, "_trace_distances", recording):
+            call()
+        return calls
+
+    @staticmethod
+    def assert_matches_oracle(calls):
+        assert calls
+        for rho, targets, distances in calls:
+            assert np.abs(distances - trace_distances(rho, targets)).max() <= 1e-15
+
+    @pytest.mark.parametrize("fock_index", [0, 1])
+    def test_benchmark_points(self, fock_index):
+        sweep = TestLeadingBlock.BENCHMARK_SWEEP | {"cavity_fock": fock_index}
+        calls = self.distance_calls(lambda: RUNNERS["physics-sweep"](sweep))
+        assert len(calls) == len(sweep["delta_over_g"])
+        self.assert_matches_oracle(calls)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_density_matrices_against_pure_targets(self, seed):
+        rng = np.random.default_rng(seed)
+        # Four density matrices G G^dagger / tr, G keeping a random rank 1..4 of its columns.
+        cols = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
+        cols *= (np.arange(4) < rng.integers(1, 5, size=4)[:, None])[:, None, :]
+        rho = cols @ cols.conj().transpose(0, 2, 1)
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        kets = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        kets /= np.linalg.norm(kets, axis=1)[:, None]
+        targets = kets[:, :, None] * kets.conj()[:, None, :]
+        self.assert_matches_oracle([(rho, targets, cavity._trace_distances(rho, targets))])
+
+    def test_full_block_path(self):
+        params, fock = params_for(2.0, 2.0), FockSpace(12)
+        with pytest.warns(TruncationWarning):
+            calls = self.distance_calls(
+                lambda: validate_effective_model(params, fock, CANONICAL_PULSE, 1))
+        self.assert_matches_oracle(calls)
 
 
 class TestPhaseResolution:

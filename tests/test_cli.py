@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ghzdc
-from ghzdc.cavity import CANONICAL_PULSE, MAX_FOCK, CavityParams, FockSpace, validate_effective_model
+from ghzdc.cavity import (CANONICAL_PULSE, MAX_FOCK, CavityParams, FockSpace, TruncationWarning,
+                          validate_effective_model)
 from ghzdc.cli import COMMANDS, COMMON, FLAGS, MAX_GRID_POINTS, MAX_ROUNDS, build_parser, main
 
 
@@ -747,6 +749,34 @@ class TestLapackFootprint:
     def test_protocol_commands_run_without_lapack(self, argv, lapack_calls, capsys):
         code, _, err = run_cli([*argv, "--out", os.devnull], capsys)
         assert (code, lapack_calls) == (0, []), err
+
+    @pytest.mark.parametrize("argv", [
+        # The physics-sweep benchmark's grid at each input level, and a point whose
+        # truncation bound never passes below the full block.
+        ["--delta-over-g", ",".join(map(str, range(10, 81, 2))), "--omega-over-delta", "20",
+         "--n-max", "96", "--cavity-fock", "0"],
+        ["--delta-over-g", ",".join(map(str, range(10, 81, 2))), "--omega-over-delta", "20",
+         "--n-max", "96", "--cavity-fock", "1"],
+        ["--delta-over-g", "2", "--omega-over-delta", "2", "--n-max", "12", "--cavity-fock", "1"],
+    ])
+    def test_physics_sweep_runs_real_lapack_only(self, argv, monkeypatch, capsys):
+        """Every eigh and eigvalsh argument is float64, so only real LAPACK runs."""
+        dtypes = []
+
+        def recording(name, entry):
+            def record(a, *args, **kwargs):
+                dtypes.append((name, a.dtype))
+                return entry(a, *args, **kwargs)
+            return record
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)  # the full-block point is meant to truncate
+            code, _, err = run_cli(["physics-sweep", *argv, "--out", os.devnull], capsys)
+        assert code == 0, err
+        assert {name for name, _ in dtypes} == {"eigh", "eigvalsh"}
+        assert {dtype for _, dtype in dtypes} == {np.dtype(np.float64)}, dtypes
 
     def test_physics_sweep_reaches_the_patched_entries(self, lapack_calls, capsys):
         code, _, err = run_cli(["physics-sweep", "--delta-over-g", "40", "--n-max", "4"], capsys)
