@@ -649,10 +649,10 @@ class TestTraceDistance:
     def distance_calls(call):
         """The (rho, targets, distances) of every ``_trace_distances`` call that ``call()`` makes."""
         calls = []
-        real = cavity._trace_distances
+        original = cavity._trace_distances
 
         def recording(rho, targets):
-            distances = real(rho, targets)
+            distances = original(rho, targets)
             calls.append((rho, targets, distances))
             return distances
 

@@ -750,13 +750,14 @@ class TestLapackFootprint:
         code, _, err = run_cli([*argv, "--out", os.devnull], capsys)
         assert (code, lapack_calls) == (0, []), err
 
+    # The physics-sweep benchmark's grid.
+    SWEEP_GRID = ["--delta-over-g", ",".join(map(str, range(10, 81, 2))), "--omega-over-delta", "20",
+                  "--n-max", "96"]
+
     @pytest.mark.parametrize("argv", [
-        # The physics-sweep benchmark's grid at each input level, and a point whose
-        # truncation bound never passes below the full block.
-        ["--delta-over-g", ",".join(map(str, range(10, 81, 2))), "--omega-over-delta", "20",
-         "--n-max", "96", "--cavity-fock", "0"],
-        ["--delta-over-g", ",".join(map(str, range(10, 81, 2))), "--omega-over-delta", "20",
-         "--n-max", "96", "--cavity-fock", "1"],
+        [*SWEEP_GRID, "--cavity-fock", "0"],
+        [*SWEEP_GRID, "--cavity-fock", "1"],
+        # A point whose truncation bound never passes below the full block.
         ["--delta-over-g", "2", "--omega-over-delta", "2", "--n-max", "12", "--cavity-fock", "1"],
     ])
     def test_physics_sweep_runs_real_lapack_only(self, argv, monkeypatch, capsys):
