@@ -15,8 +15,8 @@ of that system live here:
    Fock space, in the frame rotating at the drive frequency, built directly
    as its exchange-symmetric (triplet) block, photon-major and banded, and
    the energies of the dark singlet.  ``validate_effective_model`` propagates
-   the weighted input columns in real arithmetic and reports how far the
-   reduced atomic dynamics strays from the closed form.
+   the weighted input columns in real arithmetic and reports, in the pair basis
+   (ee, T0, S, gg), how far the reduced atomic dynamics strays from the closed form.
 
 Operator convention: the raising operator is ``S+ = |e><g|`` (so the
 ``a_dagger S-`` coupling term conserves excitation number).  Atom ordering
@@ -39,6 +39,9 @@ from . import _check_count
 
 _SQRT_HALF = math.sqrt(0.5)
 _TRIPLET_SLOTS = np.array([0, 1, 3])  # ee, T0, gg in the exchange pair basis
+# (ee, eg, ge, gg) -> (ee, T0, S, gg), S = (eg - ge)/sqrt2; symmetric and its own inverse.
+_EXCHANGE = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, _SQRT_HALF, _SQRT_HALF, 0.0],
+                      [0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 def _require_finite(params) -> None:
@@ -125,8 +128,8 @@ CANONICAL_PULSE = PulseParams(lambda_t=np.pi / 4, omega_t=np.pi)
 # Largest truncation accepted.  A validation at n_max 400 builds and solves only the
 # leading levels its truncation bound certifies: 48x48 for a Fock 0 input, ~0.5 ms warm
 # and ~30 MB peak resident in a fresh process (2 cores, one BLAS thread).  When the bound
-# never passes it ends on the dense 1203x1203 triplet block, ~0.45 s and ~86 MB, the
-# worst case, which grows as n_max**3.
+# never passes it solves 48 to 384 rows and then the dense 1203x1203 triplet block, ~0.5 s
+# and ~96 MB in a fresh process, the worst case, which grows as n_max**3.
 MAX_FOCK = 400
 
 # Largest phase error accepted from float64 propagation: eps * max|E| * t, for the
@@ -239,16 +242,6 @@ def _cavity_weights(initial_cavity, levels: int) -> np.ndarray:
     return padded
 
 
-def _exchange_reflect(x: np.ndarray) -> None:
-    """Pair slots (ee, eg, ge, gg) <-> (ee, T0, S, gg) on axes 0 and 2, in place.
-
-    ``x`` is a ``(4, levels, 4, m)`` view; T0 = (eg + ge)/sqrt2 and S = (eg - ge)/sqrt2.
-    The reflection is its own inverse.
-    """
-    for pairs in (x, np.moveaxis(x, 2, 0)):
-        pairs[1], pairs[2] = (pairs[1] + pairs[2]) * _SQRT_HALF, (pairs[1] - pairs[2]) * _SQRT_HALF
-
-
 def _truncation_bound(modes: np.ndarray, cols: np.ndarray, coupling: float, duration: float) -> float:
     """Duhamel bound on ||exp(-iHt) v - exp(-iH_m t) v|| over the input columns ``v``.
 
@@ -294,8 +287,11 @@ def validate_effective_model(
     m = 2 (top + 1) + 14 for the highest input level ``top``; that solve stands
     for the full block once ``_truncation_bound`` is at most
     ``MAX_TRUNCATION_ERROR``.  Otherwise the truncated solve is dropped and m
-    doubles, up to every retained level, where the solve is exact.  The trace
-    distances run through real LAPACK only (``_trace_distances``).  Emits
+    doubles while 4m is at most the retained levels; the next solve is the full
+    block, which is exact.  Inputs and outputs are taken in the pair basis and
+    compared with ``_EXCHANGE @ effective_unitary``: a real orthogonal change of
+    basis moves no trace distance and no leak.  The trace distances run
+    through real LAPACK only (``_trace_distances``).  Emits
     ``TruncationWarning`` when, for any atom input, more than 1e-6 of the
     population lands on the top retained level, each cavity Fock branch counted
     at its mixture weight; a certified truncated solve leaves at most the bound
@@ -314,8 +310,6 @@ def validate_effective_model(
     cols = (3 * fock_in[:, None] + np.arange(3)).ravel()  # [fock_in, slot]
     m = min(2 * (int(fock_in[-1]) + 1) + 14, levels)
     while True:
-        # Photon-major order makes the block on levels 0..m-1 the full one's leading
-        # 3m x 3m submatrix, bit for bit, so only those levels are built.
         block, singlet = full_hamiltonian(params, FockSpace(m - 1))
         energies, modes = np.linalg.eigh(block)
         del block
@@ -323,7 +317,7 @@ def validate_effective_model(
                 modes, cols, math.sqrt(2.0 * m) * float(params.g), duration) <= MAX_TRUNCATION_ERROR:
             break
         del energies, modes  # free the truncated solve before the larger build
-        m = min(2 * m, levels)
+        m = 2 * m if 4 * m <= levels else levels
     top = max(np.abs(energies).max(), np.abs(singlet[fock_in]).max())
     # Python floats overflow to inf without a numpy RuntimeWarning; the check below refuses it.
     phase_error = sys.float_info.epsilon * float(top) * duration
@@ -331,29 +325,25 @@ def validate_effective_model(
         raise ValueError(
             f"eps*max|E|*t = {phase_error:.2e} exceeds {MAX_PHASE_ERROR:g}: "
             "float64 cannot resolve the phases of so long a pulse")
-    u_eff = effective_unitary(
-        PulseParams(lambda_t=lam * duration, omega_t=params.omega_rabi * duration))
     # Propagate only the input columns |slot, n> that carry weight, in real arithmetic:
     # exp(-iHt)[:, cols] = V cos(wt) V[cols]^T - i V sin(wt) V[cols]^T on the triplet
     # block for the real orthogonal V, and one phase on each singlet column.
     k = fock_in.size
-    inputs = modes[cols].T
+    inputs = (modes[cols].T.reshape(-1, k, 3) @ _EXCHANGE[_TRIPLET_SLOTS]).reshape(-1, 4 * k)
     angles = (energies * duration)[:, None]
     waves = modes @ np.hstack((inputs * np.cos(angles), inputs * np.sin(angles)))
-    waves = waves.reshape(m, 3, 2, k, 3).transpose(2, 1, 0, 4, 3)  # [re/im, slot, n, slot, k]
-    outputs = np.zeros((4, m, 4, k), dtype=complex)
-    in_triplet = np.ix_(_TRIPLET_SLOTS, range(m), _TRIPLET_SLOTS, range(k))
-    outputs.real[in_triplet] = waves[0]
-    outputs.imag[in_triplet] = -waves[1]
-    outputs[2, fock_in, 2, range(k)] = np.exp(-1j * singlet[fock_in] * duration)
-    _exchange_reflect(outputs)
-    branches = outputs.transpose(2, 3, 0, 1)  # [atom_in, fock_in, pair, n]
+    triplet = (waves[:, : 4 * k] - 1j * waves[:, 4 * k:]).reshape(m, 3, k, 4)  # [n, slot, k, atom_in]
+    branches = np.zeros((4, k, 4, m), dtype=complex)  # [atom_in, fock_in, pair, n]
+    branches[:, :, _TRIPLET_SLOTS] = triplet.transpose(3, 2, 1, 0)
+    branches[:, range(k), 2, fock_in] = _EXCHANGE[2][:, None] * np.exp(-1j * singlet[fock_in] * duration)
     worst_leak = 0.0  # a certified truncated solve leaves at most the bound squared on level n_max
     if m == levels:
         leak = np.sum(np.abs(branches[..., -1]) ** 2, axis=-1)  # [atom_in, fock_in]
         worst_leak = float((leak @ weights[fock_in]).max())
     rho = np.einsum("k,akpn,akqn->apq", weights[fock_in], branches, branches.conj())
-    targets = u_eff.T[:, :, None] * u_eff.T.conj()[:, None, :]  # [atom_in, pair, pair]
+    u_eff = effective_unitary(PulseParams(lambda_t=lam * duration, omega_t=params.omega_rabi * duration))
+    kets = np.einsum("qa,qp->ap", u_eff, _EXCHANGE)  # (_EXCHANGE @ u_eff).T without a complex GEMM
+    targets = kets[:, :, None] * kets.conj()[:, None, :]
     distances = _trace_distances(rho, targets)
     if worst_leak > 1e-6:
         warnings.warn(

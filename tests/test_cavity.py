@@ -29,7 +29,6 @@ from ghzdc.cavity import (
     PulseParams,
     TruncationWarning,
     _cavity_weights,
-    _exchange_reflect,
     effective_unitary,
     full_hamiltonian,
     validate_effective_model,
@@ -51,6 +50,8 @@ from oracles import (
 
 SQ2 = 1 / np.sqrt(2)
 SWAP = np.eye(4)[[0, 2, 1, 3]]
+# Atom pair basis (ee, eg, ge, gg) -> exchange pair basis (ee, T0, S, gg); its own inverse.
+EXCHANGE = np.array([[1, 0, 0, 0], [0, SQ2, SQ2, 0], [0, SQ2, -SQ2, 0], [0, 0, 0, 1]])
 # A resonant-drive point that from_ratios never gives: g != 1.
 GENERIC = CavityParams(g=0.7, delta=3.0, omega_rabi=11.0)
 
@@ -103,29 +104,34 @@ def rotated_split(h, levels):
     return triplet.transpose(1, 0, 3, 2).reshape(3 * levels, 3 * levels), rotated[2, n, 2, n]
 
 
-def dense_expm_validation(params, fock, pulse, weights):
-    """Reference validation error: full propagator from scipy's expm, every branch kept."""
+def dense_expm_distances(params, fock, pulse, weights):
+    """Reference distance of each atom input: full propagator from scipy's expm, every branch kept."""
     lam = params.dispersive_coupling
     t = pulse.lambda_t / lam
     closed = effective_unitary(PulseParams(lam * t, params.omega_rabi * t))
     u = expm(-1j * kron_chain_hamiltonian(params, fock) * t)
     levels = fock.levels
     weights = np.asarray(weights, dtype=float) / np.sum(weights)
-    worst = 0.0
+    distances = np.zeros(4)
     for atom_in in range(4):
         rho = np.zeros((4, 4), dtype=complex)
         for n, w in enumerate(weights):
             branch = u[:, atom_in * levels + n].reshape(4, levels)
             rho += w * (branch @ branch.conj().T)
         target = closed[:, atom_in]
-        worst = max(worst, float(trace_distances(rho, np.outer(target, target.conj()))))
-    return worst
+        distances[atom_in] = trace_distances(rho, np.outer(target, target.conj()))
+    return distances
+
+
+def dense_expm_validation(params, fock, pulse, weights):
+    """Reference validation error: the worst input's ``dense_expm_distances``."""
+    return float(dense_expm_distances(params, fock, pulse, weights).max())
 
 
 def slot_major_validation(params, fock, pulse, initial_cavity=0):
     """Reference validation error: the triplet block in slot-major order, complex propagation.
 
-    The generator is reflected in place to the pair basis (ee, T0, S, gg), the
+    The generator is rotated to the pair basis (ee, T0, S, gg), the
     triplet slots are taken out slot-major (index ``slot * levels + n``), the input
     columns are propagated with complex phases, and each atom input gets its own
     density matrix and trace distance.
@@ -137,8 +143,7 @@ def slot_major_validation(params, fock, pulse, initial_cavity=0):
     weights = _cavity_weights(initial_cavity, levels)
     fock_in = np.flatnonzero(weights)
     slots = np.array([0, 1, 3])
-    h = dense_hamiltonian(params, fock).reshape(4, levels, 4, levels)
-    _exchange_reflect(h)
+    h = exchange_rotated(dense_hamiltonian(params, fock), levels).reshape(4, levels, 4, levels)
     singlet_energies = h[2, :, 2].diagonal()[fock_in]
     h = h.take(slots, axis=0).take(slots, axis=2)
     energies, modes = np.linalg.eigh(h.reshape(3 * levels, 3 * levels))
@@ -148,7 +153,7 @@ def slot_major_validation(params, fock, pulse, initial_cavity=0):
     outputs = np.zeros((4, levels, 4, k), dtype=complex)
     outputs[np.ix_(slots, range(levels), slots, range(k))] = triplet.reshape(3, levels, 3, k)
     outputs[2, fock_in, 2, range(k)] = np.exp(-1j * singlet_energies * t)
-    _exchange_reflect(outputs)
+    outputs = np.einsum("pa,anbk,bq->pnqk", EXCHANGE, outputs, EXCHANGE)  # back to the atom basis
     branches = outputs.transpose(2, 3, 0, 1)
     worst = 0.0
     for atom_in in range(4):
@@ -611,6 +616,16 @@ class TestLeadingBlock:
         assert seen == sizes and seen[-1] == 3 * fock.levels
         assert abs(err - slot_major_validation(params, fock, CANONICAL_PULSE, 1)) < 1e-9
 
+    def test_worst_case_jumps_to_full_block(self):
+        """With the bound made never to pass, the ladder doubles only while 2m stays within
+        half the retained levels, then solves the full block: no 768-row solve at n_max 400."""
+        params, fock = params_for(), FockSpace(400)
+        with mock.patch.object(cavity, "MAX_TRUNCATION_ERROR", -1.0):
+            err, seen = self.eigh_sizes(
+                lambda: validate_effective_model(params, fock, CANONICAL_PULSE, 0))
+        assert seen == [48, 96, 192, 384, 3 * fock.levels]
+        assert abs(err - validate_effective_model(params, fock, CANONICAL_PULSE, 0)) < 1e-9
+
     @pytest.mark.parametrize("fock_index,size", [(0, 48), (1, 54)])
     def test_benchmark_grid_calls(self, fock_index, size):
         """One full_hamiltonian per point, of the leading 2 (n + 1) + 14 levels only, and
@@ -692,6 +707,23 @@ class TestTraceDistance:
             calls = self.distance_calls(
                 lambda: validate_effective_model(params, fock, CANONICAL_PULSE, 1))
         self.assert_matches_oracle(calls)
+
+    @pytest.mark.parametrize("ratios,n_max,initial_cavity", [
+        ((10.0, 20.0), 8, 0),
+        ((2.0, 2.0), 12, 1),  # the full-block path
+        ((10.0, 20.0), 8, [0.5, 0.5]),
+    ])
+    def test_each_input_matches_dense_expm_oracle(self, ratios, n_max, initial_cavity):
+        """Every atom input's distance, not only the worst, is the atom-basis expm oracle's."""
+        params, fock = params_for(*ratios), FockSpace(n_max)
+        weights = _cavity_weights(initial_cavity, fock.levels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)  # the full-block point truncates
+            calls = self.distance_calls(
+                lambda: validate_effective_model(params, fock, CANONICAL_PULSE, initial_cavity))
+        [(_, _, distances)] = calls
+        expected = dense_expm_distances(params, fock, CANONICAL_PULSE, weights)
+        assert np.abs(distances - expected).max() < 1e-9
 
 
 class TestPhaseResolution:
