@@ -128,8 +128,9 @@ CANONICAL_PULSE = PulseParams(lambda_t=np.pi / 4, omega_t=np.pi)
 # Largest truncation accepted.  A validation at n_max 400 builds and solves only the
 # leading levels its truncation bound certifies: 48x48 for a Fock 0 input, ~0.5 ms warm
 # and ~30 MB peak resident in a fresh process (2 cores, one BLAS thread).  When the bound
-# never passes it solves 48 to 384 rows and then the dense 1203x1203 triplet block, ~0.5 s
-# and ~96 MB in a fresh process, the worst case, which grows as n_max**3.
+# fails below the full size it ends on the dense 1203x1203 triplet block; the worst case,
+# a Fock 92 input that first solves 600 and 1200 rows, takes ~0.8 s and ~90 MB in a fresh
+# process and grows as n_max**3.
 MAX_FOCK = 400
 
 # Largest phase error accepted from float64 propagation: eps * max|E| * t, for the
@@ -284,20 +285,19 @@ def validate_effective_model(
     ``effective_unitary`` for the pulse actually realized in that time.
 
     Only the leading Fock levels 0..m-1 are built and solved, starting at
-    m = 2 (top + 1) + 14 for the highest input level ``top``; that solve stands
-    for the full block once ``_truncation_bound`` is at most
-    ``MAX_TRUNCATION_ERROR``.  Otherwise the truncated solve is dropped and m
-    doubles while 4m is at most the retained levels; the next solve is the full
-    block, which is exact.  Inputs and outputs are taken in the pair basis and
-    compared with ``_EXCHANGE @ effective_unitary``: a real orthogonal change of
-    basis moves no trace distance and no leak.  The trace distances run
-    through real LAPACK only (``_trace_distances``).  Emits
-    ``TruncationWarning`` when, for any atom input, more than 1e-6 of the
-    population lands on the top retained level, each cavity Fock branch counted
-    at its mixture weight; a certified truncated solve leaves at most the bound
-    squared there.  Raises ``ValueError`` when float64 cannot resolve the phases,
-    i.e. when ``eps * max|E| * t`` over the propagated spectrum exceeds
-    ``MAX_PHASE_ERROR``, and when lambda is zero but the coupling angle is not.
+    m = 2 (top + 1) + 14 for the highest input level ``top``; that solve stands for
+    the full block once ``_truncation_bound`` is at most ``MAX_TRUNCATION_ERROR``.
+    Otherwise the truncated solve is dropped and m doubles, up to every retained
+    level, where the solve is exact.  Inputs and outputs are taken in the pair
+    basis and compared with ``_EXCHANGE @ effective_unitary``: a real orthogonal
+    change of basis moves no trace distance and no leak.  The trace distances run
+    through real LAPACK only (``_trace_distances``).  Emits ``TruncationWarning``
+    when, for any atom input, more than 1e-6 of the population lands on the top
+    retained level, each cavity Fock branch counted at its mixture weight; a
+    certified truncated solve leaves at most the bound squared there.  Raises
+    ``ValueError`` when float64 cannot resolve the phases, i.e. when
+    ``eps * max|E| * t`` over the propagated spectrum exceeds ``MAX_PHASE_ERROR``,
+    and when lambda is zero but the coupling angle is not.
     """
     lam = params.dispersive_coupling
     if lam == 0.0 and pulse.lambda_t != 0.0:
@@ -317,7 +317,7 @@ def validate_effective_model(
                 modes, cols, math.sqrt(2.0 * m) * float(params.g), duration) <= MAX_TRUNCATION_ERROR:
             break
         del energies, modes  # free the truncated solve before the larger build
-        m = 2 * m if 4 * m <= levels else levels
+        m = min(2 * m, levels)
     top = max(np.abs(energies).max(), np.abs(singlet[fock_in]).max())
     # Python floats overflow to inf without a numpy RuntimeWarning; the check below refuses it.
     phase_error = sys.float_info.epsilon * float(top) * duration

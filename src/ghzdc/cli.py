@@ -30,7 +30,7 @@ SCHEMA_VERSION = 2
 
 # Upper bounds on the counts a run accepts, checked while parsing.  They cap counts, not
 # run time: a timing-sweep point costs ~11 us (~1.1 s at the bound), a physics-sweep
-# point at worst, when its truncation bound never passes, grows as n_max^3 (~0.5 s at
+# point at worst, when its truncation bound never passes, grows as n_max^3 (~0.8 s at
 # n_max 400), and a 2-user round costs 0.05-0.15 ms (~1-2.5 min at the bound).
 MAX_GRID_POINTS = 10**5
 MAX_ROUNDS = 10**6

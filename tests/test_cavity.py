@@ -50,8 +50,6 @@ from oracles import (
 
 SQ2 = 1 / np.sqrt(2)
 SWAP = np.eye(4)[[0, 2, 1, 3]]
-# Atom pair basis (ee, eg, ge, gg) -> exchange pair basis (ee, T0, S, gg); its own inverse.
-EXCHANGE = np.array([[1, 0, 0, 0], [0, SQ2, SQ2, 0], [0, SQ2, -SQ2, 0], [0, 0, 0, 1]])
 # A resonant-drive point that from_ratios never gives: g != 1.
 GENERIC = CavityParams(g=0.7, delta=3.0, omega_rabi=11.0)
 
@@ -86,19 +84,18 @@ def kron_chain_hamiltonian(params, fock):
     return h
 
 
-def exchange_rotated(h, levels):
-    """A pair-major generator in the pair basis (ee, T0, S, gg), by elementwise row and column sums."""
+def exchange_rotated(x):
+    """A ``(4, a, 4, b)`` pair-major array with both pair axes taken between (ee, eg, ge, gg)
+    and (ee, T0, S, gg), by elementwise row and column sums; the map is its own inverse."""
     s = np.sqrt(0.5)
-    h4 = h.reshape(4, levels, 4, levels)
-    rows = np.stack([h4[0], (h4[1] + h4[2]) * s, (h4[1] - h4[2]) * s, h4[3]])
-    both = np.stack([rows[:, :, 0], (rows[:, :, 1] + rows[:, :, 2]) * s,
-                     (rows[:, :, 1] - rows[:, :, 2]) * s, rows[:, :, 3]], axis=2)
-    return both.reshape(4 * levels, 4 * levels)
+    rows = np.stack([x[0], (x[1] + x[2]) * s, (x[1] - x[2]) * s, x[3]])
+    return np.stack([rows[:, :, 0], (rows[:, :, 1] + rows[:, :, 2]) * s,
+                       (rows[:, :, 1] - rows[:, :, 2]) * s, rows[:, :, 3]], axis=2)
 
 
 def rotated_split(h, levels):
     """The photon-major triplet block and the singlet energies of a pair-major generator."""
-    rotated = exchange_rotated(h, levels).reshape(4, levels, 4, levels)
+    rotated = exchange_rotated(h.reshape(4, levels, 4, levels))
     triplet = rotated[[0, 1, 3]][:, :, [0, 1, 3]]  # [slot, n, slot, m]
     n = np.arange(levels)
     return triplet.transpose(1, 0, 3, 2).reshape(3 * levels, 3 * levels), rotated[2, n, 2, n]
@@ -143,7 +140,7 @@ def slot_major_validation(params, fock, pulse, initial_cavity=0):
     weights = _cavity_weights(initial_cavity, levels)
     fock_in = np.flatnonzero(weights)
     slots = np.array([0, 1, 3])
-    h = exchange_rotated(dense_hamiltonian(params, fock), levels).reshape(4, levels, 4, levels)
+    h = exchange_rotated(dense_hamiltonian(params, fock).reshape(4, levels, 4, levels))
     singlet_energies = h[2, :, 2].diagonal()[fock_in]
     h = h.take(slots, axis=0).take(slots, axis=2)
     energies, modes = np.linalg.eigh(h.reshape(3 * levels, 3 * levels))
@@ -153,7 +150,7 @@ def slot_major_validation(params, fock, pulse, initial_cavity=0):
     outputs = np.zeros((4, levels, 4, k), dtype=complex)
     outputs[np.ix_(slots, range(levels), slots, range(k))] = triplet.reshape(3, levels, 3, k)
     outputs[2, fock_in, 2, range(k)] = np.exp(-1j * singlet_energies * t)
-    outputs = np.einsum("pa,anbk,bq->pnqk", EXCHANGE, outputs, EXCHANGE)  # back to the atom basis
+    outputs = exchange_rotated(outputs)  # back to the atom basis
     branches = outputs.transpose(2, 3, 0, 1)
     worst = 0.0
     for atom_in in range(4):
@@ -522,7 +519,8 @@ class TestExchangeSplit:
     @pytest.mark.parametrize("n_max", [1, 8])
     def test_singlet_couples_to_nothing(self, params, n_max):
         levels = n_max + 1
-        rotated = exchange_rotated(dense_hamiltonian(params, FockSpace(n_max)), levels)
+        h = dense_hamiltonian(params, FockSpace(n_max)).reshape(4, levels, 4, levels)
+        rotated = exchange_rotated(h).reshape(4 * levels, 4 * levels)
         singlet = np.arange(2 * levels, 3 * levels)
         energies = rotated[singlet, singlet].copy()
         rotated[singlet, singlet] = 0.0
@@ -615,16 +613,6 @@ class TestLeadingBlock:
                 lambda: validate_effective_model(params, fock, CANONICAL_PULSE, 1))
         assert seen == sizes and seen[-1] == 3 * fock.levels
         assert abs(err - slot_major_validation(params, fock, CANONICAL_PULSE, 1)) < 1e-9
-
-    def test_worst_case_jumps_to_full_block(self):
-        """With the bound made never to pass, the ladder doubles only while 2m stays within
-        half the retained levels, then solves the full block: no 768-row solve at n_max 400."""
-        params, fock = params_for(), FockSpace(400)
-        with mock.patch.object(cavity, "MAX_TRUNCATION_ERROR", -1.0):
-            err, seen = self.eigh_sizes(
-                lambda: validate_effective_model(params, fock, CANONICAL_PULSE, 0))
-        assert seen == [48, 96, 192, 384, 3 * fock.levels]
-        assert abs(err - validate_effective_model(params, fock, CANONICAL_PULSE, 0)) < 1e-9
 
     @pytest.mark.parametrize("fock_index,size", [(0, 48), (1, 54)])
     def test_benchmark_grid_calls(self, fock_index, size):
